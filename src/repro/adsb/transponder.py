@@ -30,6 +30,14 @@ IDENT_INTERVAL_S = 5.0
 #: DF11 acquisition squitters are emitted about once per second.
 ACQUISITION_INTERVAL_S = 1.0
 
+#: Squitter kinds and their intervals, in per-aircraft RNG-draw order.
+SQUITTER_KINDS = (
+    ("position", POSITION_INTERVAL_S),
+    ("velocity", VELOCITY_INTERVAL_S),
+    ("identification", IDENT_INTERVAL_S),
+    ("acquisition", ACQUISITION_INTERVAL_S),
+)
+
 #: Transponder output power range per RTCA SC-186 (75-500 W).
 MIN_TX_POWER_W = 75.0
 MAX_TX_POWER_W = 500.0
@@ -105,63 +113,14 @@ class Transponder:
         if t1_s < t0_s:
             raise ValueError(f"bad interval [{t0_s}, {t1_s})")
         events: List[SquitterEvent] = []
-        events.extend(
-            self._periodic(
-                t0_s, t1_s, POSITION_INTERVAL_S, "position",
-                position_at, rng,
+        for kind, interval_s in SQUITTER_KINDS:
+            events.extend(
+                self._periodic(
+                    t0_s, t1_s, interval_s, kind, position_at, rng
+                )
             )
-        )
-        events.extend(
-            self._periodic(
-                t0_s, t1_s, VELOCITY_INTERVAL_S, "velocity",
-                position_at, rng,
-            )
-        )
-        events.extend(
-            self._periodic(
-                t0_s, t1_s, IDENT_INTERVAL_S, "identification",
-                position_at, rng,
-            )
-        )
-        events.extend(
-            self._periodic(
-                t0_s, t1_s, ACQUISITION_INTERVAL_S, "acquisition",
-                position_at, rng,
-            )
-        )
         events.sort(key=lambda e: e.time_s)
         return events
-
-    def schedule_times(
-        self,
-        t0_s: float,
-        t1_s: float,
-        interval_s: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Jittered transmission times for one squitter kind, batched.
-
-        Produces exactly the times :meth:`_periodic` would, drawing
-        the per-event jitter as ONE ``rng.uniform`` call — numpy
-        Generators fill batched draws in sequence order, so a batch of
-        n draws consumes the bit stream identically to n scalar draws
-        (the draw-order discipline; see docs/performance.md).
-        """
-        if t1_s < t0_s:
-            raise ValueError(f"bad interval [{t0_s}, {t1_s})")
-        phase = (self.icao.value % 997) / 997.0 * interval_s
-        k0 = int(np.ceil((t0_s - phase) / interval_s))
-        n_max = max(
-            0, int(np.ceil((t1_s - phase) / interval_s)) - k0 + 2
-        )
-        ks = k0 + np.arange(n_max, dtype=np.float64)
-        ts = phase + ks * interval_s
-        ts = ts[ts < t1_s]
-        if ts.size == 0:
-            return ts
-        u = rng.uniform(-self.jitter_s, self.jitter_s, size=ts.size)
-        jittered = np.minimum(np.maximum(ts + u, t0_s), t1_s - 1e-9)
-        return jittered
 
     def _periodic(
         self,

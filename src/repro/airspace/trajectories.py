@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -73,32 +73,42 @@ class GreatCircleRoute:
         track = initial_bearing_deg(behind, point)
         return point, track
 
-    def sample_arrays(
-        self, times_s: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch :meth:`position_and_track` over a time array.
 
-        Returns (lat_deg, lon_deg, track_deg); altitude is the
-        route's constant ``start.alt_m``. Replicates the scalar
-        method's operation sequence — including the degree→radian
-        round-trips the intermediate :class:`GeoPoint` objects
-        introduce — so per-element results match the scalar path.
-        """
-        t = np.asarray(times_s, dtype=np.float64)
-        elapsed = t - self.start_time_s
-        distance = self.speed_ms * np.abs(elapsed)
-        backwards = (self.track_deg + 180.0) % 360.0
-        bearing = np.where(elapsed >= 0, self.track_deg, backwards)
-        lat_deg, lon_deg = destination_point_arrays(
-            self.start, bearing, distance
-        )
-        # Instantaneous track = bearing from a point slightly behind.
-        blat, blon = destination_points_fixed_leg(
-            lat_deg, lon_deg, backwards, 1000.0
-        )
-        track = initial_bearing_deg_arrays(blat, blon, lat_deg, lon_deg)
-        track = np.where(distance < 1.0, self.track_deg, track)
-        return lat_deg, lon_deg, track
+def sample_routes(
+    routes: Sequence[GreatCircleRoute],
+    route_idx: np.ndarray,
+    times_s: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch :meth:`GreatCircleRoute.position_and_track` over many routes.
+
+    Element i samples ``routes[route_idx[i]]`` at ``times_s[i]``.
+    Returns (lat_deg, lon_deg, track_deg); altitude is each route's
+    constant ``start.alt_m``. Replicates the scalar method's operation
+    sequence — including the degree→radian round-trips the
+    intermediate :class:`GeoPoint` objects introduce — so per-element
+    results match the scalar path.
+    """
+
+    def per_element(values: Sequence[float]) -> np.ndarray:
+        return np.array(values, dtype=np.float64)[route_idx]
+
+    backwards = [(r.track_deg + 180.0) % 360.0 for r in routes]
+    track0 = per_element([r.track_deg for r in routes])
+    elapsed = np.asarray(times_s, dtype=np.float64) - per_element(
+        [r.start_time_s for r in routes]
+    )
+    distance = per_element([r.speed_ms for r in routes]) * np.abs(elapsed)
+    bearing = np.where(elapsed >= 0, track0, per_element(backwards))
+    lat_deg, lon_deg = destination_point_arrays(
+        [r.start for r in routes], route_idx, bearing, distance
+    )
+    # Instantaneous track = bearing from a point slightly behind.
+    blat, blon = destination_points_fixed_leg(
+        lat_deg, lon_deg, backwards, route_idx, 1000.0
+    )
+    track = initial_bearing_deg_arrays(blat, blon, lat_deg, lon_deg)
+    track = np.where(distance < 1.0, track0, track)
+    return lat_deg, lon_deg, track
 
 
 def random_route_through_disk(

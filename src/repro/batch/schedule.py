@@ -9,10 +9,12 @@ the thresholded subset.
 
 RNG discipline: the scalar path draws one uniform jitter per event, per
 (aircraft, kind) block, aircraft in construction order, kinds in
-``position, velocity, identification, acquisition`` order.
-``Transponder.schedule_times`` draws each block as one batched
-``rng.uniform`` call — bit-identical to the scalar sequence — and this
-module visits blocks in exactly that order.
+``position, velocity, identification, acquisition`` order. This
+module lays every block's tick grid out in exactly that order and
+draws the whole capture's jitter as ONE ``rng.uniform`` call with
+per-event bounds: numpy Generators fill batched draws in sequence
+order, array bounds or scalar, so n batched draws consume the bit
+stream identically to n scalar draws.
 
 Sort discipline: the scalar path stable-sorts each aircraft's events by
 time, then stable-sorts the concatenation. A single stable argsort of
@@ -26,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adsb.transponder import (
-    ACQUISITION_INTERVAL_S,
-    IDENT_INTERVAL_S,
-    POSITION_INTERVAL_S,
-    VELOCITY_INTERVAL_S,
-)
+from repro.adsb.transponder import SQUITTER_KINDS
 from repro.airspace.aircraft import MS_TO_KT
 from repro.airspace.traffic import TrafficSimulator
+from repro.airspace.trajectories import sample_routes
 from repro.engines.pathcache import get_path_cache
 
 #: Kind indices into :data:`KIND_INTERVALS`.
@@ -43,12 +41,7 @@ KIND_IDENTIFICATION = 2
 KIND_ACQUISITION = 3
 
 #: Kinds in the scalar path's RNG-draw order.
-KIND_INTERVALS = (
-    POSITION_INTERVAL_S,
-    VELOCITY_INTERVAL_S,
-    IDENT_INTERVAL_S,
-    ACQUISITION_INTERVAL_S,
-)
+KIND_INTERVALS = tuple(interval_s for _, interval_s in SQUITTER_KINDS)
 
 
 @dataclass
@@ -153,69 +146,65 @@ def _build_batch_squitters_compute(
     t1_s: float,
     rng: np.random.Generator,
 ) -> BatchSquitters:
-    times_parts = []
-    aidx_parts = []
-    kind_parts = []
-    pseq_parts = []
-    power_parts = []
-    lat_parts = []
-    lon_parts = []
-    alt_parts = []
-    ekt_parts = []
-    nkt_parts = []
-    for ai, ac in enumerate(traffic.aircraft):
-        tp = ac.transponder
-        ac_times = []
-        ac_kinds = []
-        ac_pseq = []
-        for kind_idx, interval_s in enumerate(KIND_INTERVALS):
-            ts = tp.schedule_times(t0_s, t1_s, interval_s, rng)
-            ac_times.append(ts)
-            ac_kinds.append(np.full(ts.size, kind_idx, dtype=np.int64))
-            if kind_idx == KIND_POSITION:
-                ac_pseq.append(np.arange(ts.size, dtype=np.int64))
-            else:
-                ac_pseq.append(np.full(ts.size, -1, dtype=np.int64))
-        t = np.concatenate(ac_times)
-        lat, lon, track = ac.route.sample_arrays(t)
-        east_kt = (
-            ac.route.speed_ms * np.sin(np.radians(track)) * MS_TO_KT
-        )
-        north_kt = (
-            ac.route.speed_ms * np.cos(np.radians(track)) * MS_TO_KT
-        )
-        times_parts.append(t)
-        aidx_parts.append(np.full(t.size, ai, dtype=np.int64))
-        kind_parts.append(np.concatenate(ac_kinds))
-        pseq_parts.append(np.concatenate(ac_pseq))
-        power_parts.append(
-            np.full(t.size, tp.tx_power_w, dtype=np.float64)
-        )
-        lat_parts.append(lat)
-        lon_parts.append(lon)
-        alt_parts.append(
-            np.full(t.size, ac.route.start.alt_m, dtype=np.float64)
-        )
-        ekt_parts.append(east_kt)
-        nkt_parts.append(north_kt)
+    if t1_s < t0_s:
+        raise ValueError(f"bad interval [{t0_s}, {t1_s})")
+    aircraft = traffic.aircraft
+    n_kinds = len(KIND_INTERVALS)
 
-    time_s = np.concatenate(times_parts) if times_parts else np.empty(0)
-    order = np.argsort(time_s, kind="stable")
-    return BatchSquitters(
-        time_s=time_s[order],
-        aircraft_idx=_cat(aidx_parts, np.int64)[order],
-        kind_idx=_cat(kind_parts, np.int64)[order],
-        pos_seq=_cat(pseq_parts, np.int64)[order],
-        lat_deg=_cat(lat_parts, np.float64)[order],
-        lon_deg=_cat(lon_parts, np.float64)[order],
-        alt_m=_cat(alt_parts, np.float64)[order],
-        east_kt=_cat(ekt_parts, np.float64)[order],
-        north_kt=_cat(nkt_parts, np.float64)[order],
-        tx_power_w=_cat(power_parts, np.float64)[order],
+    # Per (aircraft, kind) block, aircraft-major: each tick grid's
+    # phase, first index and length, with the scalar path's float ops.
+    interval = np.tile(KIND_INTERVALS, len(aircraft))
+    icao = np.array(
+        [ac.transponder.icao.value for ac in aircraft], dtype=np.int64
     )
+    phase = np.repeat(icao % 997, n_kinds) / 997.0 * interval
+    k0 = np.ceil((t0_s - phase) / interval)
+    n_max = np.maximum(
+        0, np.ceil((t1_s - phase) / interval) - k0 + 2
+    ).astype(np.int64)
 
+    # Expand every grid at once; ``offset`` is a tick's index within
+    # its block.
+    block = np.repeat(np.arange(interval.size), n_max)
+    offset = np.arange(block.size) - np.repeat(
+        np.cumsum(n_max) - n_max, n_max
+    )
+    ts = phase[block] + (k0[block] + offset) * interval[block]
+    keep = ts < t1_s
+    ts = ts[keep]
+    block = block[keep]
+    offset = offset[keep]
+    aircraft_idx = block // n_kinds
+    kind_idx = block % n_kinds
 
-def _cat(parts, dtype) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate(parts)
+    # One jitter draw for the whole capture, in block order.
+    jitter = np.array(
+        [ac.transponder.jitter_s for ac in aircraft], dtype=np.float64
+    )[aircraft_idx]
+    u = rng.uniform(-jitter, jitter)
+    t = np.minimum(np.maximum(ts + u, t0_s), t1_s - 1e-9)
+
+    lat, lon, track = sample_routes(
+        [ac.route for ac in aircraft], aircraft_idx, t
+    )
+    speed = np.array([ac.route.speed_ms for ac in aircraft])[aircraft_idx]
+    track_rad = np.radians(track)
+    east_kt = speed * np.sin(track_rad) * MS_TO_KT
+    north_kt = speed * np.cos(track_rad) * MS_TO_KT
+    alt = np.array([ac.route.start.alt_m for ac in aircraft])
+    power = np.array([ac.transponder.tx_power_w for ac in aircraft])
+
+    order = np.argsort(t, kind="stable")
+    aircraft_idx = aircraft_idx[order]
+    return BatchSquitters(
+        time_s=t[order],
+        aircraft_idx=aircraft_idx,
+        kind_idx=kind_idx[order],
+        pos_seq=np.where(kind_idx == KIND_POSITION, offset, -1)[order],
+        lat_deg=lat[order],
+        lon_deg=lon[order],
+        alt_m=alt[aircraft_idx],
+        east_kt=east_kt[order],
+        north_kt=north_kt[order],
+        tx_power_w=power[aircraft_idx],
+    )

@@ -38,6 +38,13 @@ from repro.geo.sectors import AzimuthSector, bearing_difference
 #: directional information.
 MULTIPATH_FLOOR_KM = 20.0
 
+#: Probe ranges at which a bin's largest open range is searched.
+_OPEN_RANGE_PROBES_KM = (30.0, 45.0, 60.0, 75.0, 90.0)
+
+#: Relative gap below which the k-th and (k+1)-th nearest distances
+#: count as tied (a few ulps; ``np.hypot`` may differ by one).
+_TIE_MARGIN = 1e-15
+
 
 @dataclass
 class FieldOfViewEstimate:
@@ -278,15 +285,46 @@ class KnnFovEstimator:
     def _estimate_bins(
         self, data: Sequence[AircraftObservation], n: int
     ) -> tuple:
-        flags: List[bool] = []
-        ranges: List[float] = []
-        for i in range(n):
-            bearing = (i + 0.5) * self.bin_deg
-            flags.append(
-                self._predict(data, bearing, self.probe_range_km)
+        """:meth:`_predict` for every (probe, bin), from one tensor.
+
+        ``np.hypot`` may differ from ``math.hypot`` by 1 ulp, so queries
+        whose k-th and (k+1)-th distances are within :data:`_TIE_MARGIN`
+        (exact ties included) go to :meth:`_predict` itself.
+        """
+        probes = np.array((self.probe_range_km,) + _OPEN_RANGE_PROBES_KM)
+        bearings = (np.arange(n) + 0.5) * self.bin_deg
+        obs_bearing = np.array([o.bearing_deg for o in data])
+        bad = obs_bearing[~np.isfinite(obs_bearing)]
+        if bad.size:
+            raise ValueError(f"bearing must be finite: {bad[0]}")
+        obs_range = np.array([o.ground_range_km for o in data])
+        received = np.array([o.received for o in data])
+        # bearing_difference, elementwise over (bin, observation).
+        diff = np.abs(bearings[:, None] % 360.0 - obs_bearing % 360.0)
+        ang = np.minimum(diff, 360.0 - diff)
+        rad = np.abs(probes[:, None, None] - obs_range) / self.km_per_degree
+        dist = np.hypot(ang, rad)  # (probe, bin, observation)
+        k = min(self.k, len(data))
+        if k == len(data):
+            # Every observation votes: there is no neighbour to tie on.
+            is_open = np.full(dist.shape[:2], int(received.sum()) * 2 > k)
+        else:
+            order = np.argpartition(dist, (k - 1, k), axis=-1)
+            is_open = received[order[..., :k]].sum(axis=-1) * 2 > k
+            edge = np.take_along_axis(
+                dist, order[..., k - 1 : k + 1], axis=-1
             )
-            ranges.append(self._max_open_range(data, bearing))
-        return tuple(flags), tuple(ranges)
+            # Negated so an inf - inf gap (NaN) also counts as a tie.
+            near_tie = ~(
+                edge[..., 1] - edge[..., 0] > _TIE_MARGIN * edge[..., 1]
+            )
+            for p, i in zip(*np.nonzero(near_tie)):
+                is_open[p, i] = self._predict(
+                    data, float(bearings[i]), float(probes[p])
+                )
+        # Probes ascend, so the largest open one is the bin's range.
+        ranges = np.where(is_open[1:], probes[1:, None], 0.0).max(axis=0)
+        return tuple(is_open[0].tolist()), tuple(ranges.tolist())
 
     def _predict(
         self,
@@ -308,16 +346,6 @@ class KnnFovEstimator:
         k = min(self.k, len(distances))
         votes = sum(1 for _, received in distances[:k] if received)
         return votes * 2 > k
-
-    def _max_open_range(
-        self, data: Sequence[AircraftObservation], bearing_deg: float
-    ) -> float:
-        """Largest probe range still predicted receivable."""
-        best = 0.0
-        for probe in (30.0, 45.0, 60.0, 75.0, 90.0):
-            if self._predict(data, bearing_deg, probe):
-                best = probe
-        return best
 
 
 @dataclass
@@ -397,7 +425,7 @@ class LinearSvmFovEstimator:
                 self.decision(bearing, self.probe_range_km) > 0.0
             )
             best = 0.0
-            for probe in (30.0, 45.0, 60.0, 75.0, 90.0):
+            for probe in _OPEN_RANGE_PROBES_KM:
                 if self.decision(bearing, probe) > 0.0:
                     best = probe
             ranges.append(best)

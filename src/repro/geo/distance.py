@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -69,54 +69,66 @@ def normalize_lon_deg_array(lon_deg: np.ndarray) -> np.ndarray:
 
 
 def destination_point_arrays(
-    start: GeoPoint,
+    starts: Sequence[GeoPoint],
+    start_idx: np.ndarray,
     bearing_deg: np.ndarray,
     distance_m: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch :func:`destination_point` from one fixed start point.
+    """Batch :func:`destination_point` from a few fixed start points.
 
-    Returns (lat_deg, lon_deg) arrays with longitudes normalized to
-    [-180, 180), matching the :class:`GeoPoint` the scalar function
-    would construct. Scalar-valued subexpressions go through ``math``
-    so each element sees the exact scalar operation sequence.
+    Element i leaves ``starts[start_idx[i]]``. Returns (lat_deg,
+    lon_deg) arrays with longitudes normalized to [-180, 180),
+    matching the :class:`GeoPoint` the scalar function would
+    construct. Start-only subexpressions go through ``math`` once per
+    start and are gathered, so each element sees the exact scalar
+    operation sequence.
     """
+    sin_lat0 = np.array([math.sin(s.lat_rad) for s in starts])[start_idx]
+    cos_lat0 = np.array([math.cos(s.lat_rad) for s in starts])[start_idx]
+    lon0 = np.array([s.lon_rad for s in starts])[start_idx]
     ang = np.asarray(distance_m, dtype=np.float64) / EARTH_RADIUS_M
     brg = np.radians(np.asarray(bearing_deg, dtype=np.float64))
-    sin_lat = math.sin(start.lat_rad) * np.cos(ang) + math.cos(
-        start.lat_rad
-    ) * np.sin(ang) * np.cos(brg)
+    sin_ang = np.sin(ang)
+    cos_ang = np.cos(ang)
+    sin_lat = sin_lat0 * cos_ang + cos_lat0 * sin_ang * np.cos(brg)
     sin_lat = np.clip(sin_lat, -1.0, 1.0)
     lat2 = np.arcsin(sin_lat)
-    y = np.sin(brg) * np.sin(ang) * math.cos(start.lat_rad)
-    x = np.cos(ang) - math.sin(start.lat_rad) * sin_lat
-    lon2 = start.lon_rad + np.arctan2(y, x)
+    y = np.sin(brg) * sin_ang * cos_lat0
+    x = cos_ang - sin_lat0 * sin_lat
+    lon2 = lon0 + np.arctan2(y, x)
     return np.degrees(lat2), normalize_lon_deg_array(np.degrees(lon2))
 
 
 def destination_points_fixed_leg(
     lat_deg: np.ndarray,
     lon_deg: np.ndarray,
-    bearing_deg: float,
+    bearings_deg: Sequence[float],
+    bearing_idx: np.ndarray,
     distance_m: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch :func:`destination_point` from many starts, one fixed leg.
+    """Batch :func:`destination_point` from many starts, one leg length.
 
     The dual of :func:`destination_point_arrays`: per-element start
-    points (degree arrays, longitudes normalized) with a single
-    bearing and distance. Used to drop a reference point a fixed
-    distance behind each sampled trajectory position.
+    points (degree arrays, longitudes normalized), a single distance,
+    and element i travelling along ``bearings_deg[bearing_idx[i]]``.
+    Used to drop a reference point a fixed distance behind each
+    sampled trajectory position.
     """
     lat_rad = np.radians(np.asarray(lat_deg, dtype=np.float64))
     lon_rad = np.radians(np.asarray(lon_deg, dtype=np.float64))
     ang = distance_m / EARTH_RADIUS_M
-    brg = math.radians(bearing_deg)
-    sin_lat = np.sin(lat_rad) * math.cos(ang) + np.cos(lat_rad) * math.sin(
-        ang
-    ) * math.cos(brg)
+    brg = [math.radians(b) for b in bearings_deg]
+    cos_brg = np.array([math.cos(r) for r in brg])[bearing_idx]
+    sin_brg_ang = np.array([math.sin(r) * math.sin(ang) for r in brg])[
+        bearing_idx
+    ]
+    sin_lat1 = np.sin(lat_rad)
+    cos_lat1 = np.cos(lat_rad)
+    sin_lat = sin_lat1 * math.cos(ang) + cos_lat1 * math.sin(ang) * cos_brg
     sin_lat = np.clip(sin_lat, -1.0, 1.0)
     lat2 = np.arcsin(sin_lat)
-    y = math.sin(brg) * math.sin(ang) * np.cos(lat_rad)
-    x = math.cos(ang) - np.sin(lat_rad) * sin_lat
+    y = sin_brg_ang * cos_lat1
+    x = math.cos(ang) - sin_lat1 * sin_lat
     lon2 = lon_rad + np.arctan2(y, x)
     return np.degrees(lat2), normalize_lon_deg_array(np.degrees(lon2))
 
@@ -138,10 +150,11 @@ def initial_bearing_deg_arrays(
     lat_b = np.radians(np.asarray(lat_b_deg, dtype=np.float64))
     lon_b = np.radians(np.asarray(lon_b_deg, dtype=np.float64))
     dlon = lon_b - lon_a
-    x = np.sin(dlon) * np.cos(lat_b)
-    y = np.cos(lat_a) * np.sin(lat_b) - np.sin(lat_a) * np.cos(
-        lat_b
-    ) * np.cos(dlon)
+    cos_lat_b = np.cos(lat_b)
+    x = np.sin(dlon) * cos_lat_b
+    y = np.cos(lat_a) * np.sin(lat_b) - np.sin(lat_a) * cos_lat_b * np.cos(
+        dlon
+    )
     return np.degrees(np.arctan2(x, y)) % 360.0
 
 

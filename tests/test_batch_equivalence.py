@@ -22,9 +22,16 @@ from repro.adsb.messages import (
     build_airborne_velocity,
     build_identification,
 )
+from repro.airspace.traffic import TrafficConfig, TrafficSimulator
 from repro.batch.geomcache import batch_rays
 from repro.batch.links import batch_received_power_dbm
-from repro.batch.schedule import build_batch_squitters
+from repro.batch.schedule import (
+    KIND_ACQUISITION,
+    KIND_IDENTIFICATION,
+    KIND_POSITION,
+    KIND_VELOCITY,
+    build_batch_squitters,
+)
 from repro.core.directional import DirectionalEvaluator
 from repro.environment.links import ADSB_FREQ_HZ, AdsbLinkModel
 from repro.geo.coords import GeoPoint
@@ -106,27 +113,117 @@ class TestScanEquivalence:
         assert rng_s.bit_generator.state == rng_b.bit_generator.state
 
 
+#: Capture windows: a full capture, an off-grid one, and an empty one.
+_WINDOWS = [(0.0, 30.0), (3.7, 11.2), (5.0, 5.0)]
+
+#: Traffic seeds for the schedule equivalence sweep.
+_TRAFFIC_SEEDS = [0, 1, 2, 3, 4]
+
+
+def _traffic(world, seed, n_aircraft=24):
+    return TrafficSimulator(
+        world.traffic.center,
+        TrafficConfig(n_aircraft=n_aircraft),
+        rng_seed=seed,
+    )
+
+
+def _kind(frame):
+    if frame.downlink_format == 11:
+        return KIND_ACQUISITION
+    if frame.type_code == 19:
+        return KIND_VELOCITY
+    if 1 <= frame.type_code <= 4:
+        return KIND_IDENTIFICATION
+    return KIND_POSITION
+
+
+def assert_schedule_matches_scalar(traffic, t0_s, t1_s, seed):
+    """Every BatchSquitters field against squitters_between's events."""
+    for ac in traffic.aircraft:
+        ac.transponder._odd_next = False
+    rng_s = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    scalar = traffic.squitters_between(t0_s, t1_s, rng_s)
+    batch = build_batch_squitters(traffic, t0_s, t1_s, rng_b)
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
+    assert batch.n == len(scalar)
+
+    index = {ac.icao.value: i for i, ac in enumerate(traffic.aircraft)}
+    aircraft_idx = [index[e.frame.icao.value] for e in scalar]
+    np.testing.assert_array_equal(batch.time_s, [e.time_s for e in scalar])
+    np.testing.assert_array_equal(batch.aircraft_idx, aircraft_idx)
+    kinds = [_kind(e.frame) for e in scalar]
+    np.testing.assert_array_equal(batch.kind_idx, kinds)
+    # pos_seq counts each aircraft's position squitters in generation
+    # order; its parity is the frame's CPR odd flag.
+    seen = [0] * len(traffic.aircraft)
+    pos_seq = []
+    for ai, kind, e in zip(aircraft_idx, kinds, scalar):
+        if kind != KIND_POSITION:
+            pos_seq.append(-1)
+            continue
+        pos_seq.append(seen[ai])
+        seen[ai] += 1
+        odd = (int.from_bytes(e.frame.me, "big") >> 34) & 1
+        assert odd == pos_seq[-1] % 2
+    np.testing.assert_array_equal(batch.pos_seq, pos_seq)
+    np.testing.assert_array_equal(batch.alt_m, [e.alt_m for e in scalar])
+    np.testing.assert_array_equal(
+        batch.tx_power_w, [e.tx_power_w for e in scalar]
+    )
+    # Trajectory kernels replicate the scalar op order but libm
+    # arcsin/atan2 chains may differ by ~1 ulp: positions agree to
+    # ~1e-11 degrees (sub-millimeter), far inside the 1e-9 dB power
+    # contract. Velocities are the ones the scalar frames encode.
+    np.testing.assert_allclose(
+        batch.lat_deg, [e.lat_deg for e in scalar], atol=1e-9
+    )
+    np.testing.assert_allclose(
+        batch.lon_deg, [e.lon_deg for e in scalar], atol=1e-9
+    )
+    velocity = np.array(
+        [
+            traffic.aircraft[ai].squitter_position_at(e.time_s)[3:]
+            for ai, e in zip(aircraft_idx, scalar)
+        ]
+    ).reshape(-1, 2)
+    np.testing.assert_allclose(batch.east_kt, velocity[:, 0], atol=1e-9)
+    np.testing.assert_allclose(batch.north_kt, velocity[:, 1], atol=1e-9)
+
+
 class TestScheduleEquivalence:
     def test_times_and_rng_state_match_scalar(self, world):
-        rng_s = np.random.default_rng(21)
-        rng_b = np.random.default_rng(21)
-        scalar = world.traffic.squitters_between(0.0, 30.0, rng_s)
-        batch = build_batch_squitters(world.traffic, 0.0, 30.0, rng_b)
-        assert batch.n == len(scalar)
-        np.testing.assert_array_equal(
-            batch.time_s, [e.time_s for e in scalar]
+        assert_schedule_matches_scalar(world.traffic, 0.0, 30.0, seed=21)
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    @pytest.mark.parametrize("traffic_seed", _TRAFFIC_SEEDS)
+    def test_every_field_matches_across_seeds_and_windows(
+        self, world, traffic_seed, window
+    ):
+        traffic = _traffic(world, traffic_seed)
+        assert_schedule_matches_scalar(
+            traffic, *window, seed=100 + traffic_seed
         )
-        # Trajectory kernels replicate the scalar op order but libm
-        # arcsin/atan2 chains may differ by ~1 ulp: positions agree to
-        # ~1e-11 degrees (sub-millimeter), far inside the 1e-9 dB
-        # power contract.
-        np.testing.assert_allclose(
-            batch.lat_deg, [e.lat_deg for e in scalar], atol=1e-9
-        )
-        np.testing.assert_allclose(
-            batch.lon_deg, [e.lon_deg for e in scalar], atol=1e-9
-        )
-        assert rng_b.bit_generator.state == rng_s.bit_generator.state
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    def test_zero_aircraft(self, world, window):
+        traffic = _traffic(world, 0, n_aircraft=0)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        batch = build_batch_squitters(traffic, *window, rng)
+        assert batch.n == 0
+        assert batch.aircraft_idx.dtype == np.int64
+        assert batch.tx_power_w.dtype == np.float64
+        assert rng.bit_generator.state == before
+        assert_schedule_matches_scalar(traffic, *window, seed=5)
+
+    def test_reversed_window_raises(self, world):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="bad interval"):
+            build_batch_squitters(world.traffic, 5.0, 4.0, rng)
+        with pytest.raises(ValueError, match="bad interval"):
+            world.traffic.squitters_between(5.0, 4.0, rng)
 
 
 class TestPowerEquivalence:

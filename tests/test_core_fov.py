@@ -1,6 +1,10 @@
 """Tests for repro.core.fov."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adsb.icao import IcaoAddress
 from repro.core.fov import (
@@ -203,3 +207,106 @@ class TestAgreementScoring:
         flags = [i < 18 for i in range(36)]
         est = FieldOfViewEstimate(10.0, flags, [0.0] * 36)
         assert est.agreement_with_truth(truth) == 0.0
+
+
+def _scalar_bins(est, data, n):
+    """The per-query oracle: one ``_predict`` per bin and probe."""
+    flags, ranges = [], []
+    for i in range(n):
+        bearing = (i + 0.5) * est.bin_deg
+        flags.append(est._predict(data, bearing, est.probe_range_km))
+        best = 0.0
+        for probe in (30.0, 45.0, 60.0, 75.0, 90.0):
+            if est._predict(data, bearing, probe):
+                best = probe
+        ranges.append(best)
+    return tuple(flags), tuple(ranges)
+
+
+#: Bearings on a quarter-degree grid, so a pair mirrored around a bin
+#: centre is exactly equidistant from it; plus the wrap edges.
+_grid_bearings = st.one_of(
+    st.integers(-1440, 2880).map(lambda q: q / 4.0),
+    st.sampled_from([0.0, -0.0, 360.0, -360.0, 359.75, -1e-12, 720.0]),
+)
+
+
+@st.composite
+def _observation_sets(draw):
+    base = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    _grid_bearings,
+                    st.floats(-720.0, 720.0, allow_nan=False),
+                ),
+                st.one_of(
+                    st.sampled_from([30.0, 45.0, 60.0, 75.0, 90.0]),
+                    st.floats(20.0, 150.0, allow_nan=False),
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    # Duplicates and bin-centre mirror images give exact distance ties.
+    extra = []
+    for bearing, range_km, received in base:
+        kind = draw(st.sampled_from(["none", "dup", "mirror"]))
+        if kind == "dup":
+            extra.append((bearing, range_km, draw(st.booleans())))
+        elif kind == "mirror" and math.isfinite(bearing):
+            centre = (math.floor(bearing / 10.0) + 0.5) * 10.0
+            extra.append(
+                (2.0 * centre - bearing, range_km, draw(st.booleans()))
+            )
+    rows = base + extra
+    return [
+        _obs(i + 1, bearing, range_km, received)
+        for i, (bearing, range_km, received) in enumerate(rows)
+    ]
+
+
+class TestKnnVectorizedMatchesScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_observation_sets(), k=st.integers(1, 40))
+    def test_every_bin_and_probe_matches_predict(self, data, k):
+        est = KnnFovEstimator(k=k)
+        assert est._estimate_bins(data, 36) == _scalar_bins(est, data, 36)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7, 50])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(123.0, 55.0, True)],
+            [
+                (10.0, 40.0, True),
+                (200.0, 80.0, False),
+                (300.0, 60.0, True),
+            ],
+            [(b, r, b < 180) for b in range(0, 360, 5) for r in (30, 55)],
+        ],
+        ids=["m=1", "m=3", "grid-ties"],
+    )
+    def test_small_and_tied_sets_match_predict(self, rows, k):
+        data = [
+            _obs(i + 1, float(bearing), range_km, received)
+            for i, (bearing, range_km, received) in enumerate(rows)
+        ]
+        est = KnnFovEstimator(k=k)
+        assert est._estimate_bins(data, 36) == _scalar_bins(est, data, 36)
+
+    def test_outputs_are_plain_python(self):
+        flags, ranges = KnnFovEstimator()._estimate_bins(
+            synthetic_scan().observations, 36
+        )
+        assert all(type(f) is bool for f in flags)
+        assert all(type(r) is float for r in ranges)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_bearing_raises(self, bad):
+        scan = synthetic_scan()
+        scan.observations.append(_obs(9999, bad, 50.0, True))
+        with pytest.raises(ValueError, match="finite"):
+            KnnFovEstimator().estimate(scan)

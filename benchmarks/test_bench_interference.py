@@ -56,16 +56,11 @@ def _dense_buffer(world, duration_s=1.0):
     squitters = build_batch_squitters(
         world.traffic, 0.0, duration_s, rng
     )
-    speeds = np.array(
-        [ac.route.speed_ms for ac in world.traffic.aircraft]
-    )
     rays = batch_rays(
         node.environment.position,
         node.environment.obstruction_map,
         ADSB_FREQ_HZ,
         squitters,
-        speeds,
-        0.0,
     )
     rx_dbm = batch_received_power_dbm(
         node.environment,
@@ -75,7 +70,7 @@ def _dense_buffer(world, duration_s=1.0):
         rng,
         link.rician_k_db,
         link.coherence_time_s,
-    )
+    ).dbm
     return (
         squitters.time_s,
         frame_durations_s(squitters.kind_idx),

@@ -7,8 +7,8 @@ package replaces the per-event interpreter with numpy array kernels:
 
 - :mod:`repro.batch.schedule` — the whole population's squitter
   schedule and trajectory states as flat arrays;
-- :mod:`repro.batch.geomcache` — ray geometry + obstruction loss,
-  computed per track-segment anchor and reused across squitters;
+- :mod:`repro.batch.geomcache` — ray geometry + obstruction loss for
+  every squitter in one pass;
 - :mod:`repro.batch.links` — received power for every event in one
   pass, with all fading randomness drawn as a single batched RNG call
   under a documented draw-order discipline;

@@ -5,8 +5,7 @@ pipeline (``run_scalar``) handles one squitter at a time; this engine
 runs the same capture as five array passes:
 
 1. schedule + trajectories as arrays (no frame objects built);
-2. ray geometry + obstruction per event, optionally cached per
-   track-segment anchor;
+2. ray geometry + obstruction per event;
 3. received power for every event with one batched RNG call;
 4. threshold mask — only the surviving events get frames, synthesized
    as one uint8 matrix (:mod:`repro.batch.frames`);
@@ -81,19 +80,14 @@ def run_directional_scan_batch(
         evaluator.traffic, 0.0, evaluator.duration_s, rng
     )
     aircraft = evaluator.traffic.aircraft
-    speeds = np.array(
-        [ac.route.speed_ms for ac in aircraft], dtype=np.float64
-    )
     rays = batch_rays(
         node.environment.position,
         node.environment.obstruction_map,
         ADSB_FREQ_HZ,
         squitters,
-        speeds,
-        evaluator.geometry_epsilon_m,
         engine=engine,
     )
-    rx_dbm = batch_received_power_dbm(
+    rx_power = batch_received_power_dbm(
         node.environment,
         node.antenna,
         squitters,
@@ -122,23 +116,16 @@ def run_directional_scan_batch(
         interference_params = None
 
     # Frame synthesis + CRC decode are deterministic given the event
-    # set, powers, and CPR parity snapshot; the parity joins the key
-    # (it alternates between two states across repeated runs, so at
-    # most two variants get cached and later rounds replay fully).
+    # set, powers, and CPR parity snapshot. Events and powers enter
+    # the key as their stage tokens; the parity joins it (it
+    # alternates between two states across repeated runs, so at most
+    # two variants get cached and later rounds replay fully).
     decoded_count, uniq, n_messages, rssi_sums, collision_stats = (
         get_path_cache().get_or_compute(
             (
                 "batch_decode",
-                squitters.time_s,
-                squitters.aircraft_idx,
-                squitters.kind_idx,
-                squitters.pos_seq,
-                squitters.lat_deg,
-                squitters.lon_deg,
-                squitters.alt_m,
-                squitters.east_kt,
-                squitters.north_kt,
-                rx_dbm,
+                squitters,
+                rx_power,
                 threshold,
                 initial_parity,
                 icao_by_ac,
@@ -149,7 +136,7 @@ def run_directional_scan_batch(
             ),
             lambda: _decode_stage(
                 squitters,
-                rx_dbm,
+                rx_power.dbm,
                 threshold,
                 initial_parity,
                 icao_by_ac,

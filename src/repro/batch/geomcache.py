@@ -1,18 +1,10 @@
-"""Per-capture geometry/obstruction cache over track segments.
+"""Per-capture ray geometry and obstruction loss, as arrays.
 
-Ray geometry and obstruction attenuation change slowly along an
-aircraft's track: at 260 m/s, successive squitters 0.1 s apart move
-the transmitter ~26 m — a ~0.03° bearing change at 50 km. With a
-positive ``epsilon_m``, each aircraft's track is cut into along-track
-segments of that length, the geometry + obstruction stack is computed
-once per (aircraft, segment) anchor — the segment's first event — and
-every other event in the segment reuses the anchor's values.
-
-``epsilon_m <= 0`` (the default everywhere) disables the
-approximation: every event is its own anchor and the results are
-exactly the per-event computation. The equivalence suite runs in this
-mode; campaigns that can tolerate a bounded geometry staleness opt in
-via ``DirectionalEvaluator.geometry_epsilon_m``.
+Bearing, elevation, clamped slant range and obstruction-map loss for
+every squitter of a capture in one pass. The result is path-cached
+under the producing schedule's key: a second capture with the same
+node position, obstruction map, frequency and schedule replays the
+arrays without recomputing a single ray.
 """
 
 from __future__ import annotations
@@ -24,29 +16,29 @@ import numpy as np
 
 from repro.batch.schedule import BatchSquitters
 from repro.engines import kernels_numpy as _default_kernels
-from repro.engines.pathcache import get_path_cache
+from repro.engines.pathcache import StageValue, get_path_cache
 from repro.engines.registry import resolve_engine
 from repro.environment.obstruction import ObstructionMap
 from repro.geo.coords import GeoPoint, geo_to_enu_arrays
 
 
 @dataclass
-class BatchRays:
+class BatchRays(StageValue):
     """Per-event arrival geometry + obstruction loss.
+
+    A path-cached :class:`StageValue`: the arrays are read-only and
+    ``key`` names the ``batch_rays`` entry that produced them.
 
     Attributes:
         azimuth_deg / elevation_deg / slant_m: arrival geometry per
             event (slant clamped to >= 1 m like ``ray_geometry``).
         obstruction_db: obstruction-map loss per event.
-        n_anchors: how many (aircraft, segment) anchors were actually
-            computed; equals the event count when the cache is off.
     """
 
     azimuth_deg: np.ndarray
     elevation_deg: np.ndarray
     slant_m: np.ndarray
     obstruction_db: np.ndarray
-    n_anchors: int
 
 
 def ray_arrays(
@@ -74,103 +66,38 @@ def batch_rays(
     obstruction_map: ObstructionMap,
     freq_hz: float,
     squitters: BatchSquitters,
-    speeds_ms: np.ndarray,
-    epsilon_m: float = 0.0,
     engine: Any = None,
 ) -> BatchRays:
-    """Geometry + obstruction for every event, cached per segment.
+    """Geometry + obstruction for every event of ``squitters``.
 
-    ``speeds_ms`` is the per-aircraft ground speed (indexable by
-    ``squitters.aircraft_idx``), used to convert elapsed time into
-    along-track displacement for segment bucketing. The whole result
-    is content-keyed in the path cache: a second capture with the
-    same node position, obstruction map, frequency, and event set
-    replays these arrays without recomputing a single ray.
+    Keyed on the schedule's token (its key, or its arrays when it was
+    built outside the cache), not on re-hashed positions.
     """
-    n = squitters.n
-    if n == 0:
+    if squitters.n == 0:
         empty = np.empty(0, dtype=np.float64)
-        return BatchRays(empty, empty, empty, empty, 0)
+        return BatchRays(empty, empty, empty, empty)
     eng = resolve_engine(engine)
-    return get_path_cache().get_or_compute(
+
+    def compute() -> BatchRays:
+        az, el, slant = ray_arrays(
+            origin,
+            squitters.lat_deg,
+            squitters.lon_deg,
+            squitters.alt_m,
+            kernels=eng.kernels,
+        )
+        obstruction = obstruction_map.loss_db_array(az, el, freq_hz, slant)
+        return BatchRays(az, el, slant, obstruction)
+
+    cache = get_path_cache()
+    return cache.get_or_compute(
         (
             "batch_rays",
             eng.kernel_token,
             origin,
             obstruction_map,
             freq_hz,
-            squitters.lat_deg,
-            squitters.lon_deg,
-            squitters.alt_m,
-            squitters.time_s,
-            squitters.aircraft_idx,
-            speeds_ms,
-            epsilon_m,
-        ),
-        lambda: _batch_rays_compute(
-            origin,
-            obstruction_map,
-            freq_hz,
             squitters,
-            speeds_ms,
-            epsilon_m,
-            eng.kernels,
         ),
-    )
-
-
-def _batch_rays_compute(
-    origin: GeoPoint,
-    obstruction_map: ObstructionMap,
-    freq_hz: float,
-    squitters: BatchSquitters,
-    speeds_ms: np.ndarray,
-    epsilon_m: float,
-    kernels: Any,
-) -> BatchRays:
-    n = squitters.n
-    if epsilon_m <= 0.0:
-        az, el, slant = ray_arrays(
-            origin,
-            squitters.lat_deg,
-            squitters.lon_deg,
-            squitters.alt_m,
-            kernels=kernels,
-        )
-        obstruction = obstruction_map.loss_db_array(
-            az, el, freq_hz, slant
-        )
-        return BatchRays(az, el, slant, obstruction, n)
-
-    ai = squitters.aircraft_idx
-    # Elapsed time since each aircraft's first event (events are
-    # time-sorted, so a running minimum per aircraft is just the first
-    # occurrence).
-    _, first_pos = np.unique(ai, return_index=True)
-    t_first = np.zeros(int(ai.max()) + 1, dtype=np.float64)
-    t_first[ai[first_pos]] = squitters.time_s[first_pos]
-    moved_m = speeds_ms[ai] * (squitters.time_s - t_first[ai])
-    segment = np.floor_divide(moved_m, epsilon_m).astype(np.int64)
-    seg_min = int(segment.min())
-    seg_span = int(segment.max()) - seg_min + 1
-    key = ai * seg_span + (segment - seg_min)
-    _, anchor_idx, inverse = np.unique(
-        key, return_index=True, return_inverse=True
-    )
-    az_a, el_a, slant_a = ray_arrays(
-        origin,
-        squitters.lat_deg[anchor_idx],
-        squitters.lon_deg[anchor_idx],
-        squitters.alt_m[anchor_idx],
-        kernels=kernels,
-    )
-    obstruction_a = obstruction_map.loss_db_array(
-        az_a, el_a, freq_hz, slant_a
-    )
-    return BatchRays(
-        azimuth_deg=az_a[inverse],
-        elevation_deg=el_a[inverse],
-        slant_m=slant_a[inverse],
-        obstruction_db=obstruction_a[inverse],
-        n_anchors=int(anchor_idx.size),
+        cache.stamping(compute),
     )

@@ -21,18 +21,26 @@ path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.batch.geomcache import BatchRays
 from repro.batch.schedule import BatchSquitters
-from repro.engines.pathcache import get_path_cache
+from repro.engines.pathcache import StageValue, get_path_cache
 from repro.engines.registry import resolve_engine
 from repro.environment.links import ADSB_FREQ_HZ
 from repro.environment.site import SiteEnvironment
 from repro.rf.fading import rician_fading_db_from_normals
 from repro.sdr.antenna import Antenna
+
+
+@dataclass
+class BatchPower(StageValue):
+    """Received power at the SDR input per event, in dBm (read-only)."""
+
+    dbm: np.ndarray
 
 
 def batch_received_power_dbm(
@@ -44,7 +52,7 @@ def batch_received_power_dbm(
     rician_k_db: float,
     coherence_time_s: float,
     engine: Any = None,
-) -> np.ndarray:
+) -> BatchPower:
     """Received power at the SDR input for every event, in dBm.
 
     Events must be time-sorted (as :func:`build_batch_squitters`
@@ -53,13 +61,14 @@ def batch_received_power_dbm(
     randomness, so its path-cache entry keys on the generator's
     bit-stream position alongside the static content — a hit replays
     the stored powers and fast-forwards the RNG to the saved
-    post-stage state.
+    post-stage state. The events and their rays enter the key as
+    their stage tokens.
     """
-    n = squitters.n
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
+    if squitters.n == 0:
+        return BatchPower(np.empty(0, dtype=np.float64))
     eng = resolve_engine(engine)
-    return get_path_cache().get_or_compute_rng(
+    cache = get_path_cache()
+    return cache.get_or_compute_rng(
         (
             "batch_rx_power",
             eng.kernel_token,
@@ -67,25 +76,23 @@ def batch_received_power_dbm(
             env.leakage_sigma_db,
             env.leakage_base_db,
             rx_antenna,
-            squitters.time_s,
-            squitters.aircraft_idx,
-            squitters.tx_power_w,
-            rays.slant_m,
-            rays.azimuth_deg,
-            rays.obstruction_db,
+            squitters,
+            rays,
             rician_k_db,
             coherence_time_s,
         ),
         rng,
-        lambda: _received_power_compute(
-            env,
-            rx_antenna,
-            squitters,
-            rays,
-            rng,
-            rician_k_db,
-            coherence_time_s,
-            eng.kernels,
+        cache.stamping(
+            lambda: _received_power_compute(
+                env,
+                rx_antenna,
+                squitters,
+                rays,
+                rng,
+                rician_k_db,
+                coherence_time_s,
+                eng.kernels,
+            )
         ),
     )
 
@@ -99,7 +106,7 @@ def _received_power_compute(
     rician_k_db: float,
     coherence_time_s: float,
     kernels: Any,
-) -> np.ndarray:
+) -> BatchPower:
     n = squitters.n
     tx_dbm = 10.0 * np.log10(squitters.tx_power_w * 1000.0)
     path = kernels.fspl_db(rays.slant_m, ADSB_FREQ_HZ)
@@ -136,11 +143,13 @@ def _received_power_compute(
         rician_k_db,
     )[fade_inverse]
 
-    return kernels.received_power_dbm(
-        unobstructed_dbm,
-        rays.obstruction_db,
-        shadow,
-        leak,
-        env.leakage_base_db,
-        fade,
+    return BatchPower(
+        kernels.received_power_dbm(
+            unobstructed_dbm,
+            rays.obstruction_db,
+            shadow,
+            leak,
+            env.leakage_base_db,
+            fade,
+        )
     )

@@ -32,7 +32,7 @@ from repro.adsb.transponder import SQUITTER_KINDS
 from repro.airspace.aircraft import MS_TO_KT
 from repro.airspace.traffic import TrafficSimulator
 from repro.airspace.trajectories import sample_routes
-from repro.engines.pathcache import get_path_cache
+from repro.engines.pathcache import StageValue, get_path_cache
 
 #: Kind indices into :data:`KIND_INTERVALS`.
 KIND_POSITION = 0
@@ -45,8 +45,11 @@ KIND_INTERVALS = tuple(interval_s for _, interval_s in SQUITTER_KINDS)
 
 
 @dataclass
-class BatchSquitters:
+class BatchSquitters(StageValue):
     """Every squitter of a capture, as time-sorted parallel arrays.
+
+    A path-cached :class:`StageValue`: the arrays are read-only and
+    ``key`` names the ``batch_schedule`` entry that produced them.
 
     Attributes:
         time_s: jittered transmission times, ascending.
@@ -128,7 +131,8 @@ def build_batch_squitters(
     entry keys on the RNG bit-stream position; a hit replays the
     arrays and fast-forwards the generator past the jitter draws.
     """
-    return get_path_cache().get_or_compute_rng(
+    cache = get_path_cache()
+    return cache.get_or_compute_rng(
         (
             "batch_schedule",
             traffic_content_token(traffic),
@@ -136,7 +140,9 @@ def build_batch_squitters(
             t1_s,
         ),
         rng,
-        lambda: _build_batch_squitters_compute(traffic, t0_s, t1_s, rng),
+        cache.stamping(
+            lambda: _build_batch_squitters_compute(traffic, t0_s, t1_s, rng)
+        ),
     )
 
 

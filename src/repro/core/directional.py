@@ -64,10 +64,6 @@ class DirectionalEvaluator:
             engine (:mod:`repro.batch`). The batch path is
             equivalence-tested against :meth:`run_scalar`: same seed,
             same decode set.
-        geometry_epsilon_m: along-track distance an aircraft may move
-            before its ray geometry/obstruction is recomputed (batch
-            path only). 0 disables the cache — exact per-event
-            geometry.
         interference: shared-medium collision model
             (:class:`repro.interference.InterferenceConfig`). ``None``
             or disabled keeps the single-transmitter pipeline
@@ -86,7 +82,6 @@ class DirectionalEvaluator:
     ground_truth_query_s: float = 15.0
     radius_m: float = 100_000.0
     use_batch: bool = True
-    geometry_epsilon_m: float = 0.0
     interference: Optional[InterferenceConfig] = None
     engine: Optional[str] = None
 

@@ -18,6 +18,14 @@ value and restore it on hit, so downstream draws stay in lockstep
 with an uncached run (the draw-order discipline of
 docs/performance.md).
 
+Stage outputs that feed a later stage subclass :class:`StageValue`:
+they carry the key that produced them, and a downstream key hashes
+that short token instead of the arrays (a Merkle chain: the upstream
+key already covers everything that determined the content). Their
+arrays are read-only, so a token can never name arrays that changed
+after keying; a value built outside the cache carries no key and
+hashes its arrays instead.
+
 The cache is process-global and thread-safe: campaign workers running
 in a thread pool share entries. Campaigns scope their *stats* by
 snapshotting the counters before and after a run; the entries
@@ -26,12 +34,15 @@ themselves survive, which is exactly the warm-run win.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.engines.contentkey import (
     UncacheableValue,
@@ -46,6 +57,33 @@ DEFAULT_MAX_ENTRIES = 16384
 
 #: Sentinel distinguishing "missing" from a cached ``None``.
 _MISS = object()
+
+
+class StageValue:
+    """Mixin for dataclass stage outputs that feed another cached stage.
+
+    ``key`` is the path-cache key the value was computed under, or
+    ``None`` when it was built outside the cache (cache off, content
+    that cannot be keyed, or by hand). Every field must be an array;
+    all of them are made read-only on construction and on unpickling.
+    """
+
+    key: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for array in self.arrays():
+            array.flags.writeable = False
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def content_token(self) -> Any:
+        """The producing key, or the arrays themselves without one."""
+        return self.key if self.key is not None else self.arrays()
 
 
 class PathCache:
@@ -67,6 +105,7 @@ class PathCache:
                 f"max_entries must be >= 1: {max_entries}"
             )
         self._lock = threading.Lock()
+        self._local = threading.local()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.max_entries = max_entries
         self.enabled = enabled
@@ -112,6 +151,38 @@ class PathCache:
 
     # -- the main call-site API -------------------------------------------
 
+    def stamping(self, compute: Callable[[], StageValue]) -> Callable:
+        """Wrap a stage's ``compute`` to stamp its value with its key.
+
+        The key is this thread's latest lookup — the one about to run
+        ``compute`` — read before ``compute`` can make lookups of its
+        own; ``None`` when that lookup was skipped.
+        """
+
+        def stamped() -> StageValue:
+            key = getattr(self._local, "key", None)
+            value = compute()
+            value.key = key
+            return value
+
+        return stamped
+
+    def _key_or_skip(self, key_parts: Tuple, rng=None) -> Optional[str]:
+        """The content key, or ``None`` (skip counted) when uncached."""
+        key = None
+        if self.enabled:
+            try:
+                if rng is not None:
+                    key_parts = (rng_state_token(rng),) + tuple(key_parts)
+                key = content_key(*key_parts)
+            except UncacheableValue:
+                pass
+        self._local.key = key
+        if key is None:
+            with self._lock:
+                self._skips += 1
+        return key
+
     def get_or_compute(
         self,
         key_parts: Tuple,
@@ -124,15 +195,8 @@ class PathCache:
         cache is disabled every call computes and only the skip
         counter moves.
         """
-        if not self.enabled:
-            with self._lock:
-                self._skips += 1
-            return compute()
-        try:
-            key = content_key(*key_parts)
-        except UncacheableValue:
-            with self._lock:
-                self._skips += 1
+        key = self._key_or_skip(key_parts)
+        if key is None:
             return compute()
         value = self.lookup(key)
         if value is not _MISS:
@@ -154,15 +218,8 @@ class PathCache:
         replays the value AND advances ``rng`` to that state, so
         downstream draws stay in lockstep with an uncached run.
         """
-        if not self.enabled:
-            with self._lock:
-                self._skips += 1
-            return compute()
-        try:
-            key = content_key(rng_state_token(rng), *key_parts)
-        except UncacheableValue:
-            with self._lock:
-                self._skips += 1
+        key = self._key_or_skip(key_parts, rng)
+        if key is None:
             return compute()
         entry = self.lookup(key)
         if entry is not _MISS:

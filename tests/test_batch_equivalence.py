@@ -5,8 +5,8 @@ engine and ``DirectionalEvaluator.run_scalar`` produce the same
 ``DirectionalScan`` — bit-identical decode set, powers within
 1e-9 dB — because every kernel replicates the scalar op order and the
 RNG draw-order discipline. These tests hold each layer to that
-contract: schedule, link powers, frame synthesis, batch decode, the
-geometry cache, and the end-to-end scan.
+contract: schedule, link powers, frame synthesis, batch decode, and the
+end-to-end scan.
 """
 
 import numpy as np
@@ -252,17 +252,13 @@ class TestPowerEquivalence:
         squitters = build_batch_squitters(
             world.traffic, 0.0, 10.0, rng_b
         )
-        speeds = np.array(
-            [ac.route.speed_ms for ac in world.traffic.aircraft]
-        )
         rays = batch_rays(
             node.environment.position,
             node.environment.obstruction_map,
             ADSB_FREQ_HZ,
             squitters,
-            speeds,
         )
-        batch_dbm = batch_received_power_dbm(
+        batch_power = batch_received_power_dbm(
             node.environment,
             node.antenna,
             squitters,
@@ -271,57 +267,7 @@ class TestPowerEquivalence:
             link.rician_k_db,
             link.coherence_time_s,
         )
-        assert np.max(np.abs(batch_dbm - scalar_dbm)) < 1e-9
-
-
-class TestGeometryCache:
-    def _rays(self, world, epsilon_m):
-        node = world.node_at("rooftop")
-        rng = np.random.default_rng(11)
-        squitters = build_batch_squitters(world.traffic, 0.0, 30.0, rng)
-        speeds = np.array(
-            [ac.route.speed_ms for ac in world.traffic.aircraft]
-        )
-        return batch_rays(
-            node.environment.position,
-            node.environment.obstruction_map,
-            ADSB_FREQ_HZ,
-            squitters,
-            speeds,
-            epsilon_m,
-        )
-
-    def test_zero_epsilon_is_exact_per_event(self, world):
-        exact = self._rays(world, 0.0)
-        off = self._rays(world, -1.0)
-        np.testing.assert_array_equal(exact.slant_m, off.slant_m)
-        assert exact.n_anchors == exact.slant_m.size
-
-    def test_positive_epsilon_reuses_anchors(self, world):
-        exact = self._rays(world, 0.0)
-        cached = self._rays(world, 100.0)
-        assert cached.n_anchors < exact.n_anchors
-        # Bounded staleness: within a 100 m segment the geometry moves
-        # by well under a degree / a few hundred meters of slant.
-        assert np.max(np.abs(cached.slant_m - exact.slant_m)) < 500.0
-        az_err = np.abs(cached.azimuth_deg - exact.azimuth_deg)
-        az_err = np.minimum(az_err, 360.0 - az_err)
-        assert np.max(az_err) < 1.0
-
-    def test_cached_scan_still_close(self, world):
-        _reset_parity(world)
-        exact = _evaluator(world, "rooftop", use_batch=True).run(
-            np.random.default_rng(2)
-        )
-        _reset_parity(world)
-        cached = _evaluator(
-            world, "rooftop", use_batch=True, geometry_epsilon_m=50.0
-        ).run(np.random.default_rng(2))
-        # The approximation may flip borderline decodes but must stay
-        # within a fraction of a percent of the exact decode count.
-        assert cached.decoded_message_count == pytest.approx(
-            exact.decoded_message_count, rel=0.01
-        )
+        assert np.max(np.abs(batch_power.dbm - scalar_dbm)) < 1e-9
 
 
 class TestKernelEquivalence:

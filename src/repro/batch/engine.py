@@ -45,7 +45,6 @@ from repro.batch.schedule import (
 )
 from repro.core.observations import DirectionalScan
 from repro.engines.pathcache import get_path_cache
-from repro.engines.registry import resolve_engine
 from repro.environment.links import ADSB_FREQ_HZ, AdsbLinkModel
 from repro.geo.coords import GeoPoint
 from repro.interference.collisions import (
@@ -70,7 +69,6 @@ def run_directional_scan_batch(
     from repro.core.directional import _AircraftTally
 
     node = evaluator.node
-    engine = resolve_engine(evaluator.engine)
     link = AdsbLinkModel(
         env=node.environment, rx_antenna=node.antenna
     )
@@ -85,7 +83,6 @@ def run_directional_scan_batch(
         node.environment.obstruction_map,
         ADSB_FREQ_HZ,
         squitters,
-        engine=engine,
     )
     rx_power = batch_received_power_dbm(
         node.environment,
@@ -95,7 +92,6 @@ def run_directional_scan_batch(
         rng,
         link.rician_k_db,
         link.coherence_time_s,
-        engine=engine,
     )
 
     initial_parity = np.array(

@@ -10,14 +10,12 @@ arrays without recomputing a single ray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.batch.schedule import BatchSquitters
-from repro.engines import kernels_numpy as _default_kernels
 from repro.engines.pathcache import StageValue, get_path_cache
-from repro.engines.registry import resolve_engine
 from repro.environment.obstruction import ObstructionMap
 from repro.geo.coords import GeoPoint, geo_to_enu_arrays
 
@@ -41,24 +39,21 @@ class BatchRays(StageValue):
     obstruction_db: np.ndarray
 
 
-def ray_arrays(
-    origin: GeoPoint,
-    lat_deg: np.ndarray,
-    lon_deg: np.ndarray,
-    alt_m: np.ndarray,
-    kernels: Any = None,
+def rays_from_enu(
+    east: np.ndarray, north: np.ndarray, up: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch ``ray_geometry``: (azimuth, elevation, clamped slant).
+    """ENU offsets -> (azimuth deg, elevation deg, clamped slant m).
 
     Mirrors the scalar ENU property chain, including
-    ``atan2(0, 0) = 0`` for the degenerate straight-up ray.
-    ``kernels`` is an engine kernel namespace; the numpy baseline
-    runs when none is given.
+    ``atan2(0, 0) = 0`` for the degenerate straight-up ray and the
+    >= 1 m slant clamp of ``ray_geometry``.
     """
-    east, north, up = geo_to_enu_arrays(origin, lat_deg, lon_deg, alt_m)
-    if kernels is None:
-        kernels = _default_kernels
-    return kernels.rays_from_enu(east, north, up)
+    azimuth = np.degrees(np.arctan2(east, north)) % 360.0
+    horiz = np.hypot(east, north)
+    elevation = np.degrees(np.arctan2(up, horiz))
+    slant = np.sqrt(east**2 + north**2 + up**2)
+    slant = np.maximum(slant, 1.0)
+    return azimuth, elevation, slant
 
 
 def batch_rays(
@@ -66,7 +61,6 @@ def batch_rays(
     obstruction_map: ObstructionMap,
     freq_hz: float,
     squitters: BatchSquitters,
-    engine: Any = None,
 ) -> BatchRays:
     """Geometry + obstruction for every event of ``squitters``.
 
@@ -76,16 +70,12 @@ def batch_rays(
     if squitters.n == 0:
         empty = np.empty(0, dtype=np.float64)
         return BatchRays(empty, empty, empty, empty)
-    eng = resolve_engine(engine)
 
     def compute() -> BatchRays:
-        az, el, slant = ray_arrays(
-            origin,
-            squitters.lat_deg,
-            squitters.lon_deg,
-            squitters.alt_m,
-            kernels=eng.kernels,
+        east, north, up = geo_to_enu_arrays(
+            origin, squitters.lat_deg, squitters.lon_deg, squitters.alt_m
         )
+        az, el, slant = rays_from_enu(east, north, up)
         obstruction = obstruction_map.loss_db_array(az, el, freq_hz, slant)
         return BatchRays(az, el, slant, obstruction)
 
@@ -93,7 +83,6 @@ def batch_rays(
     return cache.get_or_compute(
         (
             "batch_rays",
-            eng.kernel_token,
             origin,
             obstruction_map,
             freq_hz,

@@ -22,17 +22,16 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.batch.geomcache import BatchRays
 from repro.batch.schedule import BatchSquitters
 from repro.engines.pathcache import StageValue, get_path_cache
-from repro.engines.registry import resolve_engine
 from repro.environment.links import ADSB_FREQ_HZ
 from repro.environment.site import SiteEnvironment
 from repro.rf.fading import rician_fading_db_from_normals
+from repro.rf.pathloss import free_space_path_loss_db_array
 from repro.sdr.antenna import Antenna
 
 
@@ -51,7 +50,6 @@ def batch_received_power_dbm(
     rng: np.random.Generator,
     rician_k_db: float,
     coherence_time_s: float,
-    engine: Any = None,
 ) -> BatchPower:
     """Received power at the SDR input for every event, in dBm.
 
@@ -66,12 +64,10 @@ def batch_received_power_dbm(
     """
     if squitters.n == 0:
         return BatchPower(np.empty(0, dtype=np.float64))
-    eng = resolve_engine(engine)
     cache = get_path_cache()
     return cache.get_or_compute_rng(
         (
             "batch_rx_power",
-            eng.kernel_token,
             env.shadowing_sigma_db,
             env.leakage_sigma_db,
             env.leakage_base_db,
@@ -91,7 +87,6 @@ def batch_received_power_dbm(
                 rng,
                 rician_k_db,
                 coherence_time_s,
-                eng.kernels,
             )
         ),
     )
@@ -105,11 +100,10 @@ def _received_power_compute(
     rng: np.random.Generator,
     rician_k_db: float,
     coherence_time_s: float,
-    kernels: Any,
 ) -> BatchPower:
     n = squitters.n
     tx_dbm = 10.0 * np.log10(squitters.tx_power_w * 1000.0)
-    path = kernels.fspl_db(rays.slant_m, ADSB_FREQ_HZ)
+    path = free_space_path_loss_db_array(rays.slant_m, ADSB_FREQ_HZ)
     rx_gain = rx_antenna.gain_at_array(ADSB_FREQ_HZ, rays.azimuth_deg)
     unobstructed_dbm = tx_dbm - path + rx_gain
 
@@ -144,7 +138,7 @@ def _received_power_compute(
     )[fade_inverse]
 
     return BatchPower(
-        kernels.received_power_dbm(
+        received_power_dbm(
             unobstructed_dbm,
             rays.obstruction_db,
             shadow,
@@ -153,3 +147,30 @@ def _received_power_compute(
             fade,
         )
     )
+
+
+def received_power_dbm(
+    unobstructed_dbm: np.ndarray,
+    obstruction_db: np.ndarray,
+    shadow_db: np.ndarray,
+    leak_db: np.ndarray,
+    leakage_base_db: float,
+    fade_db: np.ndarray,
+) -> np.ndarray:
+    """Combine direct and leakage paths into per-event power (dBm).
+
+    The :class:`~repro.environment.links.AdsbLinkModel` combination:
+    the obstructed direct path (shadowing applied) in parallel with
+    the urban leakage path, leakage ignored on clear rays, Rician
+    fading added last.
+    """
+    direct_extra = obstruction_db - shadow_db
+    leakage_extra = leakage_base_db + leak_db
+    combined = -10.0 * np.log10(
+        10.0 ** (-np.maximum(direct_extra, 0.0) / 10.0)
+        + 10.0 ** (-np.maximum(leakage_extra, 0.0) / 10.0)
+    )
+    effective_extra = np.where(
+        obstruction_db <= 0.5, direct_extra, combined
+    )
+    return unobstructed_dbm - effective_extra + fade_db

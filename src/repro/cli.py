@@ -58,17 +58,8 @@ from repro.experiments.common import LOCATIONS, build_world
 from repro.node.sensor import SensorNode
 
 
-def _add_engine_args(sub: argparse.ArgumentParser) -> None:
-    """The compute-backend flags shared by calibrate and fleet."""
-    from repro.engines import engine_names
-
-    sub.add_argument(
-        "--engine",
-        choices=engine_names(),
-        help="compute backend (default: $REPRO_ENGINE or numpy); "
-        "accelerated backends fall back to numpy when their "
-        "dependency is missing",
-    )
+def _add_path_cache_arg(sub: argparse.ArgumentParser) -> None:
+    """The stage-reuse flag shared by calibrate and fleet."""
     sub.add_argument(
         "--path-cache",
         choices=["on", "off"],
@@ -111,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="default",
         help="traffic-density preset the airspace is populated with",
     )
-    _add_engine_args(calibrate)
+    _add_path_cache_arg(calibrate)
 
     interference = sub.add_parser(
         "interference",
@@ -196,12 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "failures + campaign metrics) as JSON; `repro serve "
         "--source file` loads it",
     )
-    _add_engine_args(fleet_cmd)
-    fleet_cmd.add_argument(
-        "--path-cache-dir", metavar="DIR",
-        help="persist path-cache entries under DIR so later "
-        "campaigns (and process workers) start warm",
-    )
+    _add_path_cache_arg(fleet_cmd)
     sub.add_parser(
         "crosscheck",
         help="tracker-free peer cross-validation of five nodes",
@@ -363,7 +349,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         cell_towers=world.testbed.cell_towers,
         tv_towers=world.testbed.tv_towers,
         fm_towers=world.testbed.fm_towers,
-        engine=args.engine,
     )
     node = SensorNode(
         f"{args.location}-node", world.testbed.site(args.location)
@@ -485,9 +470,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         resume=args.resume,
         max_jobs=args.max_jobs,
         fail_node=args.fail_node,
-        engine=args.engine,
         path_cache=args.path_cache == "on",
-        path_cache_dir=args.path_cache_dir,
     )
     print(fleet.format_marketplace(result))
     if result.campaign is not None:

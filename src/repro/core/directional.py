@@ -29,7 +29,6 @@ from repro.airspace.traffic import TrafficSimulator
 from repro.batch.schedule import traffic_content_token
 from repro.core.observations import AircraftObservation, DirectionalScan
 from repro.engines.pathcache import get_path_cache
-from repro.engines.registry import resolve_engine
 from repro.environment.links import AdsbLinkModel, ray_geometry
 from repro.geo.coords import GeoPoint
 from repro.interference.collisions import (
@@ -68,11 +67,6 @@ class DirectionalEvaluator:
             (:class:`repro.interference.InterferenceConfig`). ``None``
             or disabled keeps the single-transmitter pipeline
             bit-identical.
-        engine: compute-backend name (``repro.engines``); ``None``
-            resolves through ``$REPRO_ENGINE`` to the registry
-            default. The ``scalar`` engine forces :meth:`run_scalar`;
-            engine choice is execution policy and never changes
-            results beyond documented kernel tolerances.
     """
 
     node: SensorNode
@@ -83,7 +77,6 @@ class DirectionalEvaluator:
     radius_m: float = 100_000.0
     use_batch: bool = True
     interference: Optional[InterferenceConfig] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
@@ -114,12 +107,10 @@ class DirectionalEvaluator:
         """Execute one full evaluation and return the scan.
 
         Dispatches to the vectorized batch engine unless
-        ``use_batch`` is off or the selected compute backend is the
-        ``scalar`` reference engine; both paths consume the RNG
-        identically and produce the same decode set for the same
-        seed.
+        ``use_batch`` is off; both paths consume the RNG identically
+        and produce the same decode set for the same seed.
         """
-        if self.use_batch and resolve_engine(self.engine).use_batch:
+        if self.use_batch:
             from repro.batch.engine import run_directional_scan_batch
 
             return run_directional_scan_batch(self, rng)

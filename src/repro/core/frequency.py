@@ -22,7 +22,6 @@ import numpy as np
 from repro.cellular.cellmapper import TowerDatabase
 from repro.cellular.scanner import CellMeasurement, SrsUeScanner
 from repro.engines.pathcache import get_path_cache
-from repro.engines.registry import resolve_engine
 from repro.environment.links import ray_geometry, ray_geometry_arrays
 from repro.fm.meter import FmPowerMeter
 from repro.fm.tower import FmTower
@@ -38,7 +37,10 @@ from repro.interference.sources import (
     tv_adjacent_interference_mw,
 )
 from repro.node.sensor import SensorNode
-from repro.rf.pathloss import free_space_path_loss_db
+from repro.rf.pathloss import (
+    free_space_path_loss_db,
+    free_space_path_loss_db_multifreq,
+)
 from repro.sdr.antenna import WIDEBAND_700_2700, Antenna
 from repro.tv.meter import TvPowerMeter
 from repro.tv.tower import TvTower
@@ -167,9 +169,6 @@ class FrequencyEvaluator:
             (:class:`repro.interference.InterferenceConfig`). ``None``
             or disabled keeps the interference-free profile
             bit-identical.
-        engine: compute-backend name (``repro.engines``); ``None``
-            resolves through ``$REPRO_ENGINE`` to the registry
-            default. The ``scalar`` engine forces :meth:`run_scalar`.
     """
 
     node: SensorNode
@@ -179,7 +178,6 @@ class FrequencyEvaluator:
     reference_antenna: Optional[Antenna] = None
     use_batch: bool = True
     interference: Optional[InterferenceConfig] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.reference_antenna is None:
@@ -233,8 +231,7 @@ class FrequencyEvaluator:
         """
         if tv_iq_mode and rng is None:
             raise ValueError("tv_iq_mode requires an rng")
-        eng = resolve_engine(self.engine)
-        if not self.use_batch or not eng.use_batch:
+        if not self.use_batch:
             return self.run_scalar(rng, tv_iq_mode)
         # The whole profile is a function of static content (site,
         # hardware, emitter layouts, interference config) plus the RNG
@@ -242,7 +239,6 @@ class FrequencyEvaluator:
         # cache; BandMeasurement is frozen, so entries are shareable.
         key_parts = (
             "frequency_profile",
-            eng.kernel_token,
             self.node.environment,
             self.node.sdr,
             self.node.antenna,
@@ -476,8 +472,7 @@ class FrequencyEvaluator:
         freq = np.array(
             [t.downlink_freq_hz for t in towers], dtype=np.float64
         )
-        kernels = resolve_engine(self.engine).kernels
-        path = kernels.fspl_db_multifreq(geom.slant_m, freq)
+        path = free_space_path_loss_db_multifreq(geom.slant_m, freq)
         gain = self.reference_antenna.gain_at_multifreq(
             freq, geom.azimuth_deg
         )
@@ -491,8 +486,7 @@ class FrequencyEvaluator:
     ) -> np.ndarray:
         """Unobstructed-reference dBFS for broadcast transmitters."""
         geom = ray_geometry_arrays(self.node.position, positions)
-        kernels = resolve_engine(self.engine).kernels
-        path = kernels.fspl_db_multifreq(geom.slant_m, freq_hz)
+        path = free_space_path_loss_db_multifreq(geom.slant_m, freq_hz)
         gain = self.reference_antenna.gain_at_multifreq(
             freq_hz, geom.azimuth_deg
         )

@@ -267,9 +267,8 @@ class CalibrationService:
         ground_truth: the flight ground-truth service.
         cell_towers: regional tower database.
         tv_towers: regional TV transmitters.
-        engine: compute-backend name threaded into both evaluators
-            (``repro.engines``); ``None`` resolves through
-            ``$REPRO_ENGINE`` to the registry default.
+        use_batch: run both evaluators through their vectorized
+            pipelines; ``False`` runs their scalar oracles instead.
     """
 
     traffic: TrafficSimulator
@@ -281,7 +280,7 @@ class CalibrationService:
     classifier: IndoorOutdoorClassifier = field(
         default_factory=IndoorOutdoorClassifier
     )
-    engine: Optional[str] = None
+    use_batch: bool = True
 
     def evaluate_node(
         self,
@@ -299,7 +298,7 @@ class CalibrationService:
             node=node,
             traffic=self.traffic,
             ground_truth=self.ground_truth,
-            engine=self.engine,
+            use_batch=self.use_batch,
         )
         scan = evaluator.run(rng)
         if fabrication is not None:
@@ -311,7 +310,7 @@ class CalibrationService:
             cell_towers=self.cell_towers,
             tv_towers=self.tv_towers,
             fm_towers=self.fm_towers,
-            engine=self.engine,
+            use_batch=self.use_batch,
         )
         profile = freq_eval.run(rng)
         features = extract_features(scan, fov, profile)

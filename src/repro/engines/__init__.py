@@ -1,15 +1,12 @@
-"""Pluggable compute backends and the content-keyed path cache.
+"""The content-keyed path cache of the batch pipeline.
 
-``repro.engines`` is the execution-policy layer of the batch
-pipeline: the :mod:`registry <repro.engines.registry>` selects which
-kernel implementation runs (numpy baseline, numba-jitted, or the
-scalar reference), and the :mod:`path cache
-<repro.engines.pathcache>` replays content-keyed stage results so
+:mod:`repro.engines.pathcache` replays content-keyed stage results so
 each (sensor, emitter) ray/obstruction/penetration chain is computed
-exactly once per campaign. Neither choice changes results: engines
-are equivalence-tested against the numpy oracle, and cache keys
+exactly once per campaign. Reuse never changes results: keys
 (:mod:`repro.engines.contentkey`) cover every input that determines a
-stage's output, including RNG bit-stream position.
+stage's output, including RNG bit-stream position. The same keys
+address the runtime's job results
+(:meth:`repro.runtime.jobs.CalibrationJob.content_key`).
 """
 
 from repro.engines.contentkey import (
@@ -26,38 +23,16 @@ from repro.engines.pathcache import (
     path_cache_stats,
     record_path_cache_metrics,
 )
-from repro.engines.registry import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
-    Engine,
-    default_engine_name,
-    engine_names,
-    get_engine,
-    list_engines,
-    register_engine,
-    resolve_engine,
-    set_default_engine,
-)
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
-    "Engine",
     "PathCache",
     "UncacheableValue",
     "capture_rng_state",
     "configure_path_cache",
     "content_key",
-    "default_engine_name",
-    "engine_names",
-    "get_engine",
     "get_path_cache",
-    "list_engines",
     "path_cache_stats",
     "record_path_cache_metrics",
-    "register_engine",
-    "resolve_engine",
     "restore_rng_state",
     "rng_state_token",
-    "set_default_engine",
 ]

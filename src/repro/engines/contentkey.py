@@ -21,7 +21,7 @@ the cache rather than risk a wrong hit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -167,8 +167,3 @@ def _freeze(obj: Any):
     if isinstance(obj, np.ndarray):
         return (str(obj.dtype), obj.shape, obj.tobytes())
     return obj
-
-
-def iter_tokens(objs: Iterable[Any]) -> Tuple:
-    """Tuple-ify an iterable so it can participate in a content key."""
-    return tuple(objs)

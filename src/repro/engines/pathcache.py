@@ -4,9 +4,9 @@ Node/tower/material layouts are static across a calibration campaign,
 but the batch engines used to recompute ray geometry, obstruction
 stacks, and penetration losses for every capture. This cache computes
 each (sensor, emitter) chain exactly once per campaign and replays it
-across captures, windows, repeated fleet runs, and — with a persist
-directory — across processes alongside the disk result cache in
-:mod:`repro.runtime`.
+across captures, windows and repeated fleet runs. It lives in memory
+only; reuse across processes happens at job granularity, through the
+JSON result cache of :mod:`repro.runtime`.
 
 Keys are blake2b content digests (:mod:`repro.engines.contentkey`)
 over every input that determines the stage's output, including the
@@ -35,11 +35,8 @@ themselves survive, which is exactly the warm-run win.
 from __future__ import annotations
 
 import dataclasses
-import os
-import pickle
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -65,7 +62,7 @@ class StageValue:
     ``key`` is the path-cache key the value was computed under, or
     ``None`` when it was built outside the cache (cache off, content
     that cannot be keyed, or by hand). Every field must be an array;
-    all of them are made read-only on construction and on unpickling.
+    all of them are made read-only on construction.
     """
 
     key: Optional[str] = None
@@ -73,10 +70,6 @@ class StageValue:
     def __post_init__(self) -> None:
         for array in self.arrays():
             array.flags.writeable = False
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
         return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
@@ -97,7 +90,6 @@ class PathCache:
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        persist_dir: Optional[str] = None,
         enabled: bool = True,
     ) -> None:
         if max_entries < 1:
@@ -109,12 +101,10 @@ class PathCache:
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.max_entries = max_entries
         self.enabled = enabled
-        self.persist_dir = persist_dir
         self._hits = 0
         self._misses = 0
         self._skips = 0
         self._evictions = 0
-        self._disk_hits = 0
 
     # -- raw access -------------------------------------------------------
 
@@ -125,29 +115,17 @@ class PathCache:
             if value is not _MISS:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return value
-        value = self._load_persisted(key)
-        if value is _MISS:
-            with self._lock:
+            else:
                 self._misses += 1
-            return _MISS
-        with self._lock:
-            self._hits += 1
-            self._disk_hits += 1
-            self._insert(key, value)
-        return value
+            return value
 
     def store(self, key: str, value: Any) -> None:
         with self._lock:
-            self._insert(key, value)
-        self._persist(key, value)
-
-    def _insert(self, key: str, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._evictions += 1
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._evictions += 1
 
     # -- the main call-site API -------------------------------------------
 
@@ -230,36 +208,6 @@ class PathCache:
         self.store(key, (value, capture_rng_state(rng)))
         return value
 
-    # -- disk persistence --------------------------------------------------
-
-    def _path_for(self, key: str) -> Optional[Path]:
-        if self.persist_dir is None:
-            return None
-        return Path(self.persist_dir) / f"{key}.pathcache"
-
-    def _persist(self, key: str, value: Any) -> None:
-        path = self._path_for(key)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            pass  # persistence is best-effort; memory entry stands
-
-    def _load_persisted(self, key: str) -> Any:
-        path = self._path_for(key)
-        if path is None or not path.exists():
-            return _MISS
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError):
-            return _MISS
-
     # -- observability -----------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
@@ -271,7 +219,6 @@ class PathCache:
                 "path_cache_entries": len(self._entries),
                 "path_cache_evictions": self._evictions,
                 "path_cache_skips": self._skips,
-                "path_cache_disk_hits": self._disk_hits,
             }
 
     def clear(self) -> None:
@@ -282,7 +229,6 @@ class PathCache:
             self._misses = 0
             self._skips = 0
             self._evictions = 0
-            self._disk_hits = 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +246,6 @@ def get_path_cache() -> PathCache:
 def configure_path_cache(
     enabled: Optional[bool] = None,
     max_entries: Optional[int] = None,
-    persist_dir: Optional[str] = None,
     clear: bool = False,
 ) -> PathCache:
     """Adjust the global cache; ``None`` leaves a setting unchanged.
@@ -319,8 +264,6 @@ def configure_path_cache(
                     f"max_entries must be >= 1: {max_entries}"
                 )
             _GLOBAL.max_entries = max_entries
-        if persist_dir is not None:
-            _GLOBAL.persist_dir = persist_dir or None
         return _GLOBAL
 
 
@@ -342,7 +285,6 @@ def record_path_cache_metrics(metrics, before: Dict[str, int]) -> None:
         "path_cache_hits",
         "path_cache_misses",
         "path_cache_skips",
-        "path_cache_disk_hits",
     ):
         # Always emit, even when zero, so fleet --json and the serve
         # snapshots carry the keys on every run.

@@ -85,17 +85,14 @@ def run_fleet(
     resume: bool = False,
     max_jobs: Optional[int] = None,
     fail_node: Optional[str] = None,
-    engine: Optional[str] = None,
     path_cache: bool = True,
-    path_cache_dir: Optional[str] = None,
 ) -> FleetResult:
     """Calibrate the whole fleet, adversaries included.
 
     Runs through the :mod:`repro.runtime` campaign machinery; the
     default arguments reproduce the historical serial run exactly.
-    ``engine``/``path_cache``/``path_cache_dir`` select the compute
-    backend and stage-result reuse (:mod:`repro.engines`) — execution
-    policy only, results are unchanged.
+    ``path_cache`` selects stage-result reuse (:mod:`repro.engines`)
+    — execution policy only, results are unchanged.
     """
     world = world or build_world()
     config = CampaignConfig(
@@ -105,9 +102,7 @@ def run_fleet(
         checkpoint_path=checkpoint,
         resume=resume,
         stop_after=max_jobs,
-        engine=engine,
         path_cache=path_cache,
-        path_cache_dir=path_cache_dir,
     )
     campaign = run_fleet_campaign(
         seed=seed,

@@ -18,26 +18,13 @@ without its oracle:
   indexed a tests tree (``SignatureIndex.has_test_index``), so
   hermetic fixture runs stay quiet unless they opt in.
 
-The same contract covers :mod:`repro.engines` backend kernels: a
-public function in an accelerated ``kernels_<backend>`` module (any
-module under an ``engines`` package named ``kernels_*`` other than
-the :data:`ENGINE_BASELINE`) must have a same-named oracle in the
-baseline module (RL601), and some test must reference the kernel
-name together with *both* module basenames (RL602 — the halves of an
-engine pair share one function name, so the module names are what an
-equivalence test has to mention to prove it exercised both
-backends). Accelerated kernels are typically defined under an
-``if <dependency available>:`` guard, so the engine leg walks
-module-level ``if``/``try`` blocks too, not just the module body.
-
 Private (``_``-prefixed) kernels are exempt: they are internals of a
 public kernel that carries the contract for both.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, List
+from typing import List
 
 from repro.lint.context import FileContext
 from repro.lint.findings import (
@@ -68,49 +55,6 @@ RL602 = register_rule(
     "together",
 )
 
-#: Basename of the reference backend every accelerated engine-kernel
-#: module must mirror function-for-function.
-ENGINE_BASELINE = "kernels_numpy"
-
-
-def _engine_kernel_basename(module: str) -> "str | None":
-    """``kernels_<backend>`` basename when ``module`` is an
-    accelerated kernel namespace under an ``engines`` package."""
-    parts = module.split(".")
-    base = parts[-1]
-    if "engines" not in parts[:-1]:
-        return None
-    if not base.startswith("kernels_") or base == ENGINE_BASELINE:
-        return None
-    return base
-
-
-def _module_functions(
-    tree: ast.Module,
-) -> Iterator[FunctionNode]:
-    """Module-level functions, descending into ``if``/``try`` arms.
-
-    Accelerated backends define their kernels under an availability
-    guard (``if NUMBA_AVAILABLE:``), which ``function_scopes`` —
-    built for the scope-local scalar/batch convention — does not
-    enter.
-    """
-    stack: List[ast.stmt] = list(tree.body)
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield stmt
-        elif isinstance(stmt, ast.If):
-            stack.extend(stmt.body)
-            stack.extend(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            stack.extend(stmt.body)
-            stack.extend(stmt.orelse)
-            stack.extend(stmt.finalbody)
-            for handler in stmt.handlers:
-                stack.extend(handler.body)
-
-
 class OracleCoverageChecker:
     """RL601/RL602 over one file."""
 
@@ -118,11 +62,6 @@ class OracleCoverageChecker:
         self, ctx: FileContext, index: SignatureIndex
     ) -> List[Finding]:
         findings: List[Finding] = []
-        engine_basename = _engine_kernel_basename(ctx.module)
-        if engine_basename is not None:
-            self._check_engine_module(
-                ctx, index, engine_basename, findings
-            )
         for scope_functions in function_scopes(ctx.tree):
             names = {fn.name for fn in scope_functions}
             for fn in scope_functions:
@@ -165,52 +104,6 @@ class OracleCoverageChecker:
                 return
             pair = dispatchers[0]
         self._check_pair_tested(ctx, index, fn, pair, findings)
-
-    def _check_engine_module(
-        self,
-        ctx: FileContext,
-        index: SignatureIndex,
-        basename: str,
-        findings: List[Finding],
-    ) -> None:
-        """RL601/RL602 over an accelerated engine-kernel module."""
-        baseline_module = ".".join(
-            ctx.module.split(".")[:-1] + [ENGINE_BASELINE]
-        )
-        for fn in _module_functions(ctx.tree):
-            if fn.name.startswith("_"):
-                continue
-            if (baseline_module, fn.name) not in index.functions:
-                findings.append(
-                    finding(
-                        RL601,
-                        str(ctx.path),
-                        fn.lineno,
-                        fn.col_offset + 1,
-                        f"accelerated kernel `{fn.name}` has no "
-                        f"oracle: `{baseline_module}` defines no "
-                        "same-named baseline function",
-                    )
-                )
-                continue
-            if not index.has_test_index:
-                continue
-            needed = {fn.name, basename, ENGINE_BASELINE}
-            if any(
-                needed <= refs for refs in index.test_refs.values()
-            ):
-                continue
-            findings.append(
-                finding(
-                    RL602,
-                    str(ctx.path),
-                    fn.lineno,
-                    fn.col_offset + 1,
-                    f"no test references `{fn.name}` together with "
-                    f"`{basename}` and `{ENGINE_BASELINE}`; add a "
-                    "cross-backend equivalence test calling both",
-                )
-            )
 
     def _check_pair_tested(
         self,

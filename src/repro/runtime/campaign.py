@@ -20,7 +20,6 @@ percentiles) make partial runs auditable.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -45,7 +44,6 @@ from repro.engines import (
     get_path_cache,
     path_cache_stats,
     record_path_cache_metrics,
-    resolve_engine,
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
@@ -137,11 +135,10 @@ def fleet_jobs(
 class CampaignConfig:
     """Execution policy for one campaign run.
 
-    ``engine``, ``path_cache``, and ``path_cache_dir`` are execution
-    policy like ``workers``: they choose *how* assessments are
-    computed (compute backend, stage-result reuse) and deliberately
-    never join :meth:`CalibrationJob.content_key` — a cached result
-    is valid under any backend.
+    ``path_cache`` is execution policy like ``workers``: it chooses
+    *how* assessments are computed (stage-result reuse) and
+    deliberately never joins :meth:`CalibrationJob.content_key` — a
+    cached result is valid either way.
     """
 
     workers: int = 1
@@ -150,16 +147,13 @@ class CampaignConfig:
     checkpoint_path: Optional[str] = None
     resume: bool = False
     stop_after: Optional[int] = None  # run at most N jobs, then stop
-    engine: Optional[str] = None  # compute backend (repro.engines)
     path_cache: bool = True
-    path_cache_dir: Optional[str] = None  # persist entries on disk
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.resume and self.checkpoint_path is None:
             raise ValueError("resume requires a checkpoint path")
-        resolve_engine(self.engine)  # validate the name eagerly
 
 
 @dataclass
@@ -259,16 +253,7 @@ class FleetCampaign:
             if cache is not None
             else ResultCache(self.config.cache_dir)
         )
-        if runner is not None:
-            self.runner = runner
-        elif self.config.engine is not None:
-            # partial of a module-level function stays picklable, so
-            # process-pool workers receive the backend choice too.
-            self.runner = functools.partial(
-                execute_job, engine=self.config.engine
-            )
-        else:
-            self.runner = execute_job
+        self.runner = runner if runner is not None else execute_job
         self.clock = clock
         self.retry_policy = retry_policy
         if world is not None:
@@ -344,23 +329,19 @@ class FleetCampaign:
         """Drive every job to a terminal state; see the module doc.
 
         The campaign scopes the process-global path cache for its
-        duration: enabled/persist settings follow the config, and the
+        duration: the enabled setting follows the config, and the
         stats delta over the run lands in the result metrics — so
         each campaign reports its own cache effectiveness even though
         entries survive across campaigns (the warm-run win).
         """
         path_cache = get_path_cache()
         prev_enabled = path_cache.enabled
-        prev_persist = path_cache.persist_dir
         path_cache.enabled = self.config.path_cache
-        if self.config.path_cache_dir is not None:
-            path_cache.persist_dir = self.config.path_cache_dir
         before = path_cache_stats()
         try:
             return self._run(before)
         finally:
             path_cache.enabled = prev_enabled
-            path_cache.persist_dir = prev_persist
 
     def _run(self, path_cache_before: Dict[str, int]) -> CampaignResult:
         config = self.config

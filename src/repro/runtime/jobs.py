@@ -16,14 +16,13 @@ assessment and the key changes with it.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core.observations import DirectionalScan
+from repro.engines.contentkey import content_key
 from repro.node.fabrication import (
     FabricationStrategy,
     GhostTrafficFabricator,
@@ -193,14 +192,11 @@ class CalibrationJob:
         return self.node.node_id
 
     def content_key(self) -> str:
-        """Deterministic hash of everything that shapes the result."""
-        payload = {
-            "node": asdict(self.node),
-            "world": asdict(self.world),
-            "seed": self.seed,
-            "pipeline_version": self.pipeline_version,
-        }
-        canonical = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
+        """Deterministic hash of everything that shapes the result.
+
+        The same blake2b content key the path cache addresses its
+        stages by (:func:`repro.engines.contentkey.content_key`).
+        """
+        return content_key(
+            self.node, self.world, self.seed, self.pipeline_version
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()

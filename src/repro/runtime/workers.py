@@ -128,17 +128,8 @@ def seed_world_cache(spec: WorldSpec, world: World) -> None:
         _WORLD_CACHE[spec] = world
 
 
-def execute_job(
-    job: CalibrationJob, engine: Optional[str] = None
-) -> NodeAssessment:
-    """Run one calibration job to completion (module-level: picklable).
-
-    ``engine`` names the compute backend (:mod:`repro.engines`) and is
-    execution policy: it never joins the job's content key, because a
-    backend switch never changes assessment results beyond documented
-    kernel tolerances. Campaigns thread it here via ``functools.partial``
-    so process-pool workers receive it through pickling.
-    """
+def execute_job(job: CalibrationJob) -> NodeAssessment:
+    """Run one calibration job to completion (module-level: picklable)."""
     world = world_for(job.world)
     service = CalibrationService(
         traffic=world.traffic,
@@ -146,7 +137,6 @@ def execute_job(
         cell_towers=world.testbed.cell_towers,
         tv_towers=world.testbed.tv_towers,
         fm_towers=world.testbed.fm_towers,
-        engine=engine,
     )
     node = job.node.build(world)
     fabrication = build_fabrication(job.node.fabrication)

@@ -238,39 +238,3 @@ class TestOracleFamily:
     def test_without_a_test_index_coverage_is_not_judged(self):
         result = lint("oracle/paired.py", select=["RL6"])
         assert result.findings == []
-
-    def test_engine_kernel_without_baseline_fires(self):
-        result = lint(
-            "engines/kernels_rogue.py",
-            "engines/kernels_numpy.py",
-            select=["RL6"],
-        )
-        assert rule_ids(result) == ["RL601"]
-        assert "warp_db" in result.findings[0].message
-
-    def test_engine_pair_without_cross_backend_test_fires(self):
-        result = run_lint(
-            [
-                str(FIXTURES / "engines" / "kernels_fast.py"),
-                str(FIXTURES / "engines" / "kernels_numpy.py"),
-            ],
-            select=["RL6"],
-            index_package=False,
-            tests_root=str(
-                FIXTURES / "engines" / "tests_missing"
-            ),
-        )
-        assert rule_ids(result) == ["RL602"]
-        assert "kernels_numpy" in result.findings[0].message
-
-    def test_engine_pair_with_cross_backend_test_is_silent(self):
-        result = run_lint(
-            [
-                str(FIXTURES / "engines" / "kernels_fast.py"),
-                str(FIXTURES / "engines" / "kernels_numpy.py"),
-            ],
-            select=["RL6"],
-            index_package=False,
-            tests_root=str(FIXTURES / "engines" / "tests_ok"),
-        )
-        assert result.findings == []

@@ -5,6 +5,7 @@ import pytest
 
 from repro.adsb.icao import IcaoAddress
 from repro.core.directional import DirectionalEvaluator
+from repro.core.frequency import FrequencyEvaluator
 from repro.core.network import (
     CalibrationService,
     TrustAssessment,
@@ -199,6 +200,29 @@ class TestCalibrationService:
         text = assessment.summary()
         assert "n3" in text
         assert "quality" in text
+
+    def test_use_batch_false_runs_both_scalar_oracles(
+        self, world, monkeypatch
+    ):
+        calls = []
+        for cls in (DirectionalEvaluator, FrequencyEvaluator):
+            original = cls.run_scalar
+
+            def spy(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "run_scalar", spy)
+        service = CalibrationService(
+            traffic=world.traffic,
+            ground_truth=world.ground_truth,
+            cell_towers=world.testbed.cell_towers,
+            tv_towers=world.testbed.tv_towers,
+            use_batch=False,
+        )
+        node = SensorNode("n4", world.testbed.site("window"))
+        service.evaluate_node(node, seed=4)
+        assert calls == ["DirectionalEvaluator", "FrequencyEvaluator"]
 
 
 class _ExplodingFabrication:

@@ -1,10 +1,10 @@
 """The path cache's two load-bearing guarantees, end to end.
 
 **Bit-identity**: with a fixed seed, a node assessment is byte-for-byte
-identical whether the path cache is off, cold, or warm — for every
-registered engine (numpy batch, numba with its fallback, the scalar
-reference). The cache may only ever change *when* a stage computes,
-never *what* it returns.
+identical whether the path cache is off, cold, or warm — on the
+vectorized pipeline and on the scalar oracle (``use_batch=False``).
+The cache may only ever change *when* a stage computes, never *what*
+it returns.
 
 **Invalidation**: mutating any static input — a tower moved, a wall
 material swapped, a frequency added — changes the content key, so the
@@ -39,14 +39,14 @@ def fresh_cache():
     configure_path_cache(enabled=True, clear=True)
 
 
-def _service(world, engine=None) -> CalibrationService:
+def _service(world, use_batch=True) -> CalibrationService:
     return CalibrationService(
         traffic=world.traffic,
         ground_truth=world.ground_truth,
         cell_towers=world.testbed.cell_towers,
         tv_towers=world.testbed.tv_towers,
         fm_towers=world.testbed.fm_towers,
-        engine=engine,
+        use_batch=use_batch,
     )
 
 
@@ -57,10 +57,12 @@ def _reset_parity(world) -> None:
         ac.transponder._odd_next = False
 
 
-@pytest.mark.parametrize("engine", ["numpy", "numba", "scalar"])
-def test_assessments_identical_off_cold_warm(world, engine):
+@pytest.mark.parametrize(
+    "use_batch", [True, False], ids=["batch", "scalar"]
+)
+def test_assessments_identical_off_cold_warm(world, use_batch):
     """Cache off, cold, and warm runs serialize identically."""
-    service = _service(world, engine)
+    service = _service(world, use_batch)
     node = world.node_at("window")
 
     def assess():
@@ -85,24 +87,6 @@ def test_assessments_identical_off_cold_warm(world, engine):
         >= stats_cold["path_cache_misses"]
     )
     assert stats_warm["path_cache_misses"] == stats_cold["path_cache_misses"]
-
-
-def test_numba_fallback_matches_numpy_exactly(world):
-    """Without numba installed the numba engine IS the numpy engine."""
-    from repro.engines import get_engine
-
-    if get_engine("numba").accelerated:
-        pytest.skip("numba present: jitted kernels are 1e-9, not exact")
-    node = world.node_at("rooftop")
-
-    def assess(engine):
-        _reset_parity(world)
-        configure_path_cache(enabled=True, clear=True)
-        return assessment_to_dict(
-            _service(world, engine).evaluate_node(node, seed=9)
-        )
-
-    assert assess("numba") == assess("numpy")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The path cache: replay semantics, RNG lockstep, LRU, persistence."""
+"""The path cache: replay semantics, RNG lockstep, LRU, metrics."""
 
 import numpy as np
 import pytest
@@ -130,22 +130,6 @@ def test_rng_stage_distinct_stream_positions_miss(cache):
     assert cache.stats()["path_cache_misses"] == 2
 
 
-def test_disk_persistence_across_instances(tmp_path):
-    writer = PathCache(persist_dir=str(tmp_path))
-    writer.get_or_compute(("p", 1), lambda: np.arange(3))
-
-    reader = PathCache(persist_dir=str(tmp_path))
-    calls = []
-    value = reader.get_or_compute(
-        ("p", 1), lambda: calls.append(1) or np.arange(3)
-    )
-    np.testing.assert_array_equal(value, np.arange(3))
-    assert calls == []
-    stats = reader.stats()
-    assert stats["path_cache_disk_hits"] == 1
-    assert stats["path_cache_hits"] == 1
-
-
 def test_clear_resets_entries_and_counters(cache):
     cache.get_or_compute(("x",), lambda: 1)
     cache.get_or_compute(("x",), lambda: 1)
@@ -157,7 +141,6 @@ def test_clear_resets_entries_and_counters(cache):
         "path_cache_entries": 0,
         "path_cache_evictions": 0,
         "path_cache_skips": 0,
-        "path_cache_disk_hits": 0,
     }
 
 
@@ -185,7 +168,6 @@ def test_record_metrics_emits_all_keys_even_when_zero():
         "path_cache_hits",
         "path_cache_misses",
         "path_cache_skips",
-        "path_cache_disk_hits",
         "path_cache_entries",
     ):
         assert name in summary  # present even with a zero delta

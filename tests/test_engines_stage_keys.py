@@ -37,9 +37,9 @@ KEY_BYTES_BOUND = 64 * 1024
 @pytest.fixture(autouse=True)
 def fresh_cache():
     """Each test starts cold and leaves the global cache clean."""
-    configure_path_cache(enabled=True, clear=True, persist_dir="")
+    configure_path_cache(enabled=True, clear=True)
     yield
-    configure_path_cache(enabled=True, clear=True, persist_dir="")
+    configure_path_cache(enabled=True, clear=True)
 
 
 def _reset_parity(world) -> None:
@@ -151,21 +151,6 @@ class TestReadOnly:
         for c, w in zip(cold, warm):
             assert w is c
             _assert_read_only(w)
-
-    def test_disk_hit_values_are_read_only(self, world, tmp_path):
-        configure_path_cache(persist_dir=str(tmp_path))
-        cold = _stages(world)
-        configure_path_cache(clear=True)  # memory gone, disk stays
-        warm = _stages(world)
-        stats = path_cache_stats()
-        assert stats["path_cache_misses"] == 0
-        assert stats["path_cache_disk_hits"] == stats["path_cache_hits"]
-        for c, w in zip(cold, warm):
-            assert w is not c
-            assert w.key == c.key
-            _assert_read_only(w)
-            for a, b in zip(c.arrays(), w.arrays()):
-                np.testing.assert_array_equal(a, b)
 
     def test_cache_off_values_are_unstamped_and_identical(self, world):
         cold = _stages(world)

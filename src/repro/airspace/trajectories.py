@@ -10,7 +10,7 @@ paper's observation that "airplanes fly in all directions".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -63,7 +63,7 @@ class GreatCircleRoute:
         """
         elapsed = time_s - self.start_time_s
         distance = self.speed_ms * abs(elapsed)
-        backwards = (self.track_deg + 180.0) % 360.0
+        backwards = _backwards(self)
         bearing = self.track_deg if elapsed >= 0 else backwards
         point = destination_point(self.start, bearing, distance)
         if distance < 1.0:
@@ -74,41 +74,118 @@ class GreatCircleRoute:
         return point, track
 
 
+@dataclass(frozen=True)
+class RouteLegs:
+    """Per-element route constants for :func:`sample_routes`.
+
+    Element i holds ``routes[route_idx[i]]``'s constants, gathered
+    once so a schedule that samples the same routes at many jittered
+    times pays for the gather (and the per-start ``math`` calls) only
+    once.
+
+    Attributes:
+        sin_lat0 / cos_lat0: sine and cosine of the start latitude.
+        lon0_rad: start longitude, radians.
+        alt_m: constant altitude.
+        track_deg: initial great-circle bearing.
+        back_deg: the reverse bearing, ``(track + 180) % 360``.
+        speed_ms: ground speed.
+        start_time_s: when the aircraft is at the start point.
+    """
+
+    sin_lat0: np.ndarray
+    cos_lat0: np.ndarray
+    lon0_rad: np.ndarray
+    alt_m: np.ndarray
+    track_deg: np.ndarray
+    back_deg: np.ndarray
+    speed_ms: np.ndarray
+    start_time_s: np.ndarray
+
+    @classmethod
+    def gather(
+        cls, routes: Sequence[GreatCircleRoute], route_idx: np.ndarray
+    ) -> "RouteLegs":
+        def per_element(values) -> np.ndarray:
+            return np.array(list(values), dtype=np.float64)[route_idx]
+
+        return cls(
+            sin_lat0=per_element(math.sin(r.start.lat_rad) for r in routes),
+            cos_lat0=per_element(math.cos(r.start.lat_rad) for r in routes),
+            lon0_rad=per_element(r.start.lon_rad for r in routes),
+            alt_m=per_element(r.start.alt_m for r in routes),
+            track_deg=per_element(r.track_deg for r in routes),
+            back_deg=per_element(_backwards(r) for r in routes),
+            speed_ms=per_element(r.speed_ms for r in routes),
+            start_time_s=per_element(r.start_time_s for r in routes),
+        )
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _backwards(route: GreatCircleRoute) -> float:
+    return (route.track_deg + 180.0) % 360.0
+
+
+def _leg_distance_m(
+    speed_ms: np.ndarray, start_time_s: np.ndarray, times_s: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(elapsed, distance)`` along each leg, as the scalar method."""
+    elapsed = np.asarray(times_s, dtype=np.float64) - start_time_s
+    return elapsed, speed_ms * np.abs(elapsed)
+
+
 def sample_routes(
+    legs: RouteLegs, times_s: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batch positions of :meth:`GreatCircleRoute.position_and_track`.
+
+    Element i samples the route whose constants ``legs`` holds at
+    index i, at ``times_s[i]``. Returns (lat_deg, lon_deg) with
+    longitudes normalized to [-180, 180); altitude is ``legs.alt_m``.
+    The instantaneous track is not computed here: it costs two more
+    great-circle passes and only decoded velocity squitters need it,
+    so callers ask :func:`route_tracks_deg` for the events they keep.
+    Replicates the scalar method's operation sequence, including the
+    degree-radian round-trips of its intermediate :class:`GeoPoint`
+    objects, so per-element results match the scalar path.
+    """
+    elapsed, distance = _leg_distance_m(
+        legs.speed_ms, legs.start_time_s, times_s
+    )
+    bearing = np.where(elapsed >= 0, legs.track_deg, legs.back_deg)
+    return destination_point_arrays(
+        legs.sin_lat0, legs.cos_lat0, legs.lon0_rad, bearing, distance
+    )
+
+
+def route_tracks_deg(
     routes: Sequence[GreatCircleRoute],
     route_idx: np.ndarray,
     times_s: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch :meth:`GreatCircleRoute.position_and_track` over many routes.
+    lat_deg: np.ndarray,
+    lon_deg: np.ndarray,
+) -> np.ndarray:
+    """Batch track of :meth:`GreatCircleRoute.position_and_track`.
 
-    Element i samples ``routes[route_idx[i]]`` at ``times_s[i]``.
-    Returns (lat_deg, lon_deg, track_deg); altitude is each route's
-    constant ``start.alt_m``. Replicates the scalar method's operation
-    sequence — including the degree→radian round-trips the
-    intermediate :class:`GeoPoint` objects introduce — so per-element
-    results match the scalar path.
+    Element i is ``routes[route_idx[i]]`` at ``times_s[i]``, whose
+    position :func:`sample_routes` returned as ``(lat_deg[i],
+    lon_deg[i])``: the bearing from a point 1 km behind it, or the
+    route's initial track within 1 m of the start, as the scalar
+    method computes it.
     """
-
-    def per_element(values: Sequence[float]) -> np.ndarray:
-        return np.array(values, dtype=np.float64)[route_idx]
-
-    backwards = [(r.track_deg + 180.0) % 360.0 for r in routes]
-    track0 = per_element([r.track_deg for r in routes])
-    elapsed = np.asarray(times_s, dtype=np.float64) - per_element(
-        [r.start_time_s for r in routes]
+    speed = np.array([r.speed_ms for r in routes], dtype=np.float64)
+    start = np.array([r.start_time_s for r in routes], dtype=np.float64)
+    track0 = np.array([r.track_deg for r in routes], dtype=np.float64)
+    _, distance = _leg_distance_m(
+        speed[route_idx], start[route_idx], times_s
     )
-    distance = per_element([r.speed_ms for r in routes]) * np.abs(elapsed)
-    bearing = np.where(elapsed >= 0, track0, per_element(backwards))
-    lat_deg, lon_deg = destination_point_arrays(
-        [r.start for r in routes], route_idx, bearing, distance
-    )
-    # Instantaneous track = bearing from a point slightly behind.
     blat, blon = destination_points_fixed_leg(
-        lat_deg, lon_deg, backwards, route_idx, 1000.0
+        lat_deg, lon_deg, [_backwards(r) for r in routes], route_idx, 1000.0
     )
     track = initial_bearing_deg_arrays(blat, blon, lat_deg, lon_deg)
-    track = np.where(distance < 1.0, track0, track)
-    return lat_deg, lon_deg, track
+    return np.where(distance < 1.0, track0[route_idx], track)
 
 
 def random_route_through_disk(

@@ -6,7 +6,8 @@ frame, run the link physics, then decode — all per event. This
 package replaces the per-event interpreter with numpy array kernels:
 
 - :mod:`repro.batch.schedule` — the whole population's squitter
-  schedule and trajectory states as flat arrays;
+  schedule and positions as flat arrays, over a tick grid shared by
+  every node of a world;
 - :mod:`repro.batch.geomcache` — ray geometry + obstruction loss for
   every squitter in one pass;
 - :mod:`repro.batch.links` — received power for every event in one

@@ -4,11 +4,13 @@
 pipeline (``run_scalar``) handles one squitter at a time; this engine
 runs the same capture as five array passes:
 
-1. schedule + trajectories as arrays (no frame objects built);
+1. schedule + positions as arrays over the world's shared tick grid
+   (no frame objects built);
 2. ray geometry + obstruction per event;
 3. received power for every event with one batched RNG call;
 4. threshold mask — only the surviving events get frames, synthesized
-   as one uint8 matrix (:mod:`repro.batch.frames`);
+   as one uint8 matrix (:mod:`repro.batch.frames`), and only their
+   velocity squitters get a track;
 5. one vectorized decoder pass (`decode_frame_matrix`) and bincount
    tallies.
 
@@ -28,6 +30,7 @@ import numpy as np
 from repro.adsb.decoder import Dump1090Decoder
 from repro.adsb.icao import IcaoAddress
 from repro.adsb.messages import identification_me_bits
+from repro.airspace.trajectories import GreatCircleRoute
 from repro.batch.frames import (
     pack_frame_matrix,
     position_me_bits,
@@ -42,6 +45,7 @@ from repro.batch.schedule import (
     KIND_VELOCITY,
     BatchSquitters,
     build_batch_squitters,
+    squitter_velocity_kt,
 )
 from repro.core.observations import DirectionalScan
 from repro.engines.pathcache import get_path_cache
@@ -102,6 +106,7 @@ def run_directional_scan_batch(
         dtype=np.int64,
     )
     callsigns = tuple(ac.transponder.callsign for ac in aircraft)
+    routes = tuple(ac.route for ac in aircraft)
     if evaluator.interference_enabled():
         assert evaluator.interference is not None
         interference_params: Optional[Tuple[float, float]] = (
@@ -113,7 +118,9 @@ def run_directional_scan_batch(
 
     # Frame synthesis + CRC decode are deterministic given the event
     # set, powers, and CPR parity snapshot. Events and powers enter
-    # the key as their stage tokens; the parity joins it (it
+    # the key as their stage tokens (the events' token is their
+    # batch_schedule key, which covers the routes the velocity frames
+    # are computed from); the parity joins it (it
     # alternates between two states across repeated runs, so at most
     # two variants get cached and later rounds replay fully).
     decoded_count, uniq, n_messages, rssi_sums, collision_stats = (
@@ -137,6 +144,7 @@ def run_directional_scan_batch(
                 initial_parity,
                 icao_by_ac,
                 callsigns,
+                routes,
                 interference_params,
                 node.position,
                 node.sdr,
@@ -177,6 +185,7 @@ def _decode_stage(
     initial_parity: np.ndarray,
     icao_by_ac: np.ndarray,
     callsigns: Tuple[str, ...],
+    routes: Tuple[GreatCircleRoute, ...],
     interference_params: Optional[Tuple[float, float]],
     receiver_position: GeoPoint,
     sdr,
@@ -227,8 +236,7 @@ def _decode_stage(
         vel_m = kind == KIND_VELOCITY
         if vel_m.any():
             me64[vel_m] = velocity_me_bits(
-                squitters.east_kt[sel][vel_m],
-                squitters.north_kt[sel][vel_m],
+                *squitter_velocity_kt(routes, squitters, sel[vel_m])
             )
         id_m = kind == KIND_IDENTIFICATION
         if id_m.any():

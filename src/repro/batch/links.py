@@ -113,12 +113,11 @@ def _received_power_compute(
     ).astype(np.int64)
     b_min = int(block.min())
     b_span = int(block.max()) - b_min + 1
+    n_keys = int(ai.max()) + 1
     fade_key = ai * b_span + (block - b_min)
-    _, fade_first, fade_inverse = np.unique(
-        fade_key, return_index=True, return_inverse=True
-    )
-    is_new_fade = np.zeros(n, dtype=bool)
-    is_new_fade[fade_first] = True
+    is_new_fade = first_occurrence(fade_key, n_keys * b_span)[
+        fade_key
+    ] == np.arange(n)
 
     # One batched draw covering the whole capture: 2 candidates per
     # event + 2 Rician quadratures per new fading key, laid out in
@@ -128,14 +127,17 @@ def _received_power_compute(
     offsets = ends - counts
     z = rng.standard_normal(int(ends[-1]))
 
-    _, a_first, a_inverse = np.unique(ai, return_index=True, return_inverse=True)
-    shadow = (env.shadowing_sigma_db * z[offsets[a_first]])[a_inverse]
-    leak = (env.leakage_sigma_db * z[offsets[a_first] + 1])[a_inverse]
-    fade = rician_fading_db_from_normals(
-        z[offsets[fade_first] + 2],
-        z[offsets[fade_first] + 3],
-        rician_k_db,
-    )[fade_inverse]
+    # Every event reads its aircraft's first-event candidates.
+    a_first = offsets[first_occurrence(ai, n_keys)[ai]]
+    shadow = env.shadowing_sigma_db * z[a_first]
+    leak = env.leakage_sigma_db * z[a_first + 1]
+    # Fading once per key, at the event that opened it.
+    new = offsets[is_new_fade]
+    fade_by_key = np.empty(n_keys * b_span, dtype=np.float64)
+    fade_by_key[fade_key[is_new_fade]] = rician_fading_db_from_normals(
+        z[new + 2], z[new + 3], rician_k_db
+    )
+    fade = fade_by_key[fade_key]
 
     return BatchPower(
         received_power_dbm(
@@ -147,6 +149,17 @@ def _received_power_compute(
             fade,
         )
     )
+
+
+def first_occurrence(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Dense table: the first index of each key in ``keys``.
+
+    ``keys`` are integers in [0, n_keys); a key that never occurs
+    maps to ``keys.size``.
+    """
+    first = np.full(n_keys, keys.size, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    return first
 
 
 def received_power_dbm(

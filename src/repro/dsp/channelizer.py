@@ -184,25 +184,6 @@ def plan_capture_groups(
                 f"channel [{low}, {high}] is wider than the"
                 f" {max_span_hz} Hz capture limit"
             )
-    from repro.engines.pathcache import get_path_cache
-
-    # The plan is a pure function of the frequency set and the SDR's
-    # usable span; fleet runs re-plan the same band layout per node,
-    # so the result is path-cached (fresh lists returned per call).
-    groups = get_path_cache().get_or_compute(
-        (
-            "capture_groups",
-            tuple((float(lo), float(hi)) for lo, hi in edges_hz),
-            float(max_span_hz),
-        ),
-        lambda: _plan_capture_groups_compute(edges_hz, max_span_hz),
-    )
-    return [list(group) for group in groups]
-
-
-def _plan_capture_groups_compute(
-    edges_hz: Sequence[Tuple[float, float]], max_span_hz: float
-) -> Tuple[Tuple[int, ...], ...]:
     order = sorted(
         range(len(edges_hz)), key=lambda i: edges_hz[i]
     )
@@ -215,4 +196,4 @@ def _plan_capture_groups_compute(
         else:
             groups.append([i])
             group_low = low
-    return tuple(tuple(group) for group in groups)
+    return groups

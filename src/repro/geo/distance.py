@@ -69,23 +69,22 @@ def normalize_lon_deg_array(lon_deg: np.ndarray) -> np.ndarray:
 
 
 def destination_point_arrays(
-    starts: Sequence[GeoPoint],
-    start_idx: np.ndarray,
+    sin_lat0: np.ndarray,
+    cos_lat0: np.ndarray,
+    lon0_rad: np.ndarray,
     bearing_deg: np.ndarray,
     distance_m: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch :func:`destination_point` from a few fixed start points.
+    """Batch :func:`destination_point` from per-element start points.
 
-    Element i leaves ``starts[start_idx[i]]``. Returns (lat_deg,
-    lon_deg) arrays with longitudes normalized to [-180, 180),
-    matching the :class:`GeoPoint` the scalar function would
-    construct. Start-only subexpressions go through ``math`` once per
-    start and are gathered, so each element sees the exact scalar
-    operation sequence.
+    Element i leaves the start whose latitude sine/cosine and
+    longitude (radians) are ``sin_lat0[i]``, ``cos_lat0[i]`` and
+    ``lon0_rad[i]``. Returns (lat_deg, lon_deg) arrays with longitudes
+    normalized to [-180, 180), matching the :class:`GeoPoint` the
+    scalar function would construct. Callers compute the start terms
+    with ``math`` once per start and gather them, so each element sees
+    the exact scalar operation sequence.
     """
-    sin_lat0 = np.array([math.sin(s.lat_rad) for s in starts])[start_idx]
-    cos_lat0 = np.array([math.cos(s.lat_rad) for s in starts])[start_idx]
-    lon0 = np.array([s.lon_rad for s in starts])[start_idx]
     ang = np.asarray(distance_m, dtype=np.float64) / EARTH_RADIUS_M
     brg = np.radians(np.asarray(bearing_deg, dtype=np.float64))
     sin_ang = np.sin(ang)
@@ -95,7 +94,7 @@ def destination_point_arrays(
     lat2 = np.arcsin(sin_lat)
     y = np.sin(brg) * sin_ang * cos_lat0
     x = cos_ang - sin_lat0 * sin_lat
-    lon2 = lon0 + np.arctan2(y, x)
+    lon2 = lon0_rad + np.arctan2(y, x)
     return np.degrees(lat2), normalize_lon_deg_array(np.degrees(lon2))
 
 

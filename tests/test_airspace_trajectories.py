@@ -9,7 +9,10 @@ from repro.airspace.trajectories import (
     MIN_ALTITUDE_M,
     MIN_SPEED_MS,
     GreatCircleRoute,
+    RouteLegs,
     random_route_through_disk,
+    route_tracks_deg,
+    sample_routes,
 )
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import haversine_m
@@ -57,6 +60,34 @@ class TestGreatCircleRoute:
     def test_invalid_speed(self):
         with pytest.raises(ValueError):
             GreatCircleRoute(CENTER, 0.0, 0.0)
+
+
+class TestBatchSampling:
+    def test_matches_position_and_track(self, rng):
+        # Start times inside the sampled span, so elapsed time takes
+        # both signs (back-projection) and is exactly 0 (the < 1 m
+        # branch that keeps the initial track).
+        routes = [
+            GreatCircleRoute(
+                random_route_through_disk(CENTER, 80_000.0, rng).start,
+                float(rng.uniform(0.0, 360.0)),
+                float(rng.uniform(MIN_SPEED_MS, MAX_SPEED_MS)),
+                start_time_s=float(start),
+            )
+            for start in (0.0, 5.0, -3.0, 12.5)
+        ]
+        route_idx = rng.integers(0, len(routes), size=400)
+        times = rng.uniform(-20.0, 30.0, size=route_idx.size)
+        times[:4] = [r.start_time_s for r in routes]
+        route_idx[:4] = np.arange(4)
+        lat, lon = sample_routes(RouteLegs.gather(routes, route_idx), times)
+        track = route_tracks_deg(routes, route_idx, times, lat, lon)
+        for i, (r, t) in enumerate(zip(route_idx.tolist(), times.tolist())):
+            pos, expected_track = routes[r].position_and_track(t)
+            assert lat[i] == pytest.approx(pos.lat_deg, abs=1e-9)
+            assert lon[i] == pytest.approx(pos.lon_deg, abs=1e-9)
+            assert track[i] == pytest.approx(expected_track, abs=1e-9)
+        assert track[:4].tolist() == [r.track_deg for r in routes]
 
 
 class TestRandomRoutes:

@@ -31,6 +31,7 @@ from repro.batch.schedule import (
     KIND_POSITION,
     KIND_VELOCITY,
     build_batch_squitters,
+    squitter_velocity_kt,
 )
 from repro.core.directional import DirectionalEvaluator
 from repro.environment.links import ADSB_FREQ_HZ, AdsbLinkModel
@@ -175,7 +176,8 @@ def assert_schedule_matches_scalar(traffic, t0_s, t1_s, seed):
     # Trajectory kernels replicate the scalar op order but libm
     # arcsin/atan2 chains may differ by ~1 ulp: positions agree to
     # ~1e-11 degrees (sub-millimeter), far inside the 1e-9 dB power
-    # contract. Velocities are the ones the scalar frames encode.
+    # contract. Velocities are the ones the scalar frames encode; the
+    # engine computes them on demand, here for every event.
     np.testing.assert_allclose(
         batch.lat_deg, [e.lat_deg for e in scalar], atol=1e-9
     )
@@ -188,8 +190,11 @@ def assert_schedule_matches_scalar(traffic, t0_s, t1_s, seed):
             for ai, e in zip(aircraft_idx, scalar)
         ]
     ).reshape(-1, 2)
-    np.testing.assert_allclose(batch.east_kt, velocity[:, 0], atol=1e-9)
-    np.testing.assert_allclose(batch.north_kt, velocity[:, 1], atol=1e-9)
+    east_kt, north_kt = squitter_velocity_kt(
+        [ac.route for ac in traffic.aircraft], batch, np.arange(batch.n)
+    )
+    np.testing.assert_allclose(east_kt, velocity[:, 0], atol=1e-9)
+    np.testing.assert_allclose(north_kt, velocity[:, 1], atol=1e-9)
 
 
 class TestScheduleEquivalence:

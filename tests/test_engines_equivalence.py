@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.batch import schedule
 from repro.cellular.cellmapper import TowerDatabase
 from repro.core.frequency import FrequencyEvaluator
 from repro.core.network import CalibrationService
@@ -60,7 +61,7 @@ def _reset_parity(world) -> None:
 @pytest.mark.parametrize(
     "use_batch", [True, False], ids=["batch", "scalar"]
 )
-def test_assessments_identical_off_cold_warm(world, use_batch):
+def test_assessments_identical_off_cold_warm(world, use_batch, monkeypatch):
     """Cache off, cold, and warm runs serialize identically."""
     service = _service(world, use_batch)
     node = world.node_at("window")
@@ -72,19 +73,34 @@ def test_assessments_identical_off_cold_warm(world, use_batch):
     configure_path_cache(enabled=False)
     uncached = assess()
 
+    grid_lookups = []
+    tick_grid = schedule.tick_grid
+
+    def counted_tick_grid(*args):
+        grid_lookups.append(args)
+        return tick_grid(*args)
+
+    monkeypatch.setattr(schedule, "tick_grid", counted_tick_grid)
     configure_path_cache(enabled=True, clear=True)
     cold = assess()
     stats_cold = path_cache_stats()
+    n_grid = len(grid_lookups)
     warm = assess()
     stats_warm = path_cache_stats()
 
     assert cold == uncached
     assert warm == uncached
     assert stats_cold["path_cache_misses"] > 0
-    # The warm run replayed at least every cold-run stage.
+    # The warm run replayed every cold-run stage, except the tick grid:
+    # it is looked up only inside a batch_schedule compute, which the
+    # warm run replays whole.
+    assert n_grid == (1 if use_batch else 0)
+    assert len(grid_lookups) == n_grid
     assert (
         stats_warm["path_cache_hits"] - stats_cold["path_cache_hits"]
-        >= stats_cold["path_cache_misses"]
+        == stats_cold["path_cache_hits"]
+        + stats_cold["path_cache_misses"]
+        - n_grid
     )
     assert stats_warm["path_cache_misses"] == stats_cold["path_cache_misses"]
 
@@ -169,16 +185,16 @@ def test_material_change_invalidates_obstruction_stages():
 
 def test_frequency_added_invalidates_capture_plan():
     edges = [(88.0e6, 108.0e6), (600.0e6, 606.0e6)]
-    plan = plan_capture_groups(edges, max_span_hz=40e6)
-    hits_before = path_cache_stats()["path_cache_hits"]
-    assert plan_capture_groups(edges, max_span_hz=40e6) == plan
-    assert path_cache_stats()["path_cache_hits"] == hits_before + 1
-
-    misses_before = path_cache_stats()["path_cache_misses"]
-    wider = edges + [(1.088e9, 1.092e9)]  # a frequency joins the set
-    extended = plan_capture_groups(wider, max_span_hz=40e6)
-    assert path_cache_stats()["path_cache_misses"] == misses_before + 1
-    assert len([i for g in extended for i in g]) == 3
+    stats_before = path_cache_stats()
+    assert plan_capture_groups(edges, max_span_hz=40e6) == [[0], [1]]
+    # A frequency joins the set: out of every window's reach, then
+    # inside the 600 MHz window.
+    wider = edges + [(1.088e9, 1.092e9)]
+    assert plan_capture_groups(wider, max_span_hz=40e6) == [[0], [1], [2]]
+    joined = edges + [(610.0e6, 616.0e6)]
+    assert plan_capture_groups(joined, max_span_hz=40e6) == [[0], [1, 2]]
+    # Planning is recomputed on every call, never replayed.
+    assert path_cache_stats() == stats_before
 
 
 def test_rng_consuming_run_stays_in_lockstep(world):

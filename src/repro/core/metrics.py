@@ -6,6 +6,16 @@ without pulling in a metrics dependency. Thread-safe, since both the
 runtime's worker pool and the stream gateway's consumers record from
 many threads at once.
 
+Durations go into fixed log-spaced buckets (ratio 2^(1/16), from
+1 µs to 1000 s, plus one bucket each below and above), so a
+long-running server's timers hold O(buckets) state however many
+requests it serves, and reading a percentile walks the buckets
+instead of sorting every observation. Each timer also keeps its
+exact count, sum, min and max: totals are exact, and a reported
+percentile is the upper edge of the bucket holding the nearest-rank
+observation, clamped to [min, max] — never more than one bucket
+ratio above the exact nearest-rank value, and never below it.
+
 This started life as :mod:`repro.runtime.metrics`; it moved to
 :mod:`repro.core` when the streaming subsystem needed the same
 counters, so :mod:`repro.runtime` and :mod:`repro.stream` share one
@@ -14,28 +24,86 @@ implementation (the old import path still works as a re-export).
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from typing import Dict, List, Union
+
+#: Histogram bucket ratio and range, seconds.
+BUCKET_RATIO = 2.0 ** (1.0 / 16.0)
+_BUCKET_LO_S = 1e-6
+_BUCKET_HI_S = 1e3
+
+#: Bucket upper edges: bucket ``k`` holds durations in
+#: ``(EDGES[k - 1], EDGES[k]]``; one more bucket past the last edge
+#: holds anything longer.
+BUCKET_EDGES_S = tuple(
+    _BUCKET_LO_S * BUCKET_RATIO**k
+    for k in range(
+        math.ceil(math.log(_BUCKET_HI_S / _BUCKET_LO_S, BUCKET_RATIO)) + 1
+    )
+)
 
 
 def percentile(values: List[float], p: float) -> float:
     """Nearest-rank percentile (p in [0, 100]) of a non-empty list."""
     if not values:
         raise ValueError("percentile of empty list")
+    return sorted(values)[_rank(len(values), p)]
+
+
+def _rank(n: int, p: float) -> int:
+    """Zero-based nearest-rank index of percentile ``p`` among ``n``."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"p must be in [0, 100]: {p}")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(p / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
+    return max(0, min(n - 1, round(p / 100.0 * n) - 1))
+
+
+class DurationHistogram:
+    """Exact count/sum/min/max plus log-bucketed durations.
+
+    Not locked on its own: :class:`MetricsRegistry` serializes access.
+    """
+
+    __slots__ = ("counts", "n", "total", "min", "max")
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(BUCKET_EDGES_S) + 1)
+        self.n = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def observe(self, duration_s: float) -> None:
+        self.counts[bisect.bisect_left(BUCKET_EDGES_S, duration_s)] += 1
+        self.n += 1
+        self.total += duration_s
+        if duration_s < self.min:
+            self.min = duration_s
+        if duration_s > self.max:
+            self.max = duration_s
+
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile, as its bucket's clamped upper edge."""
+        if not self.n:
+            raise ValueError("percentile of empty histogram")
+        rank = _rank(self.n, p)
+        seen = 0
+        for k, count in enumerate(self.counts):
+            seen += count
+            if seen > rank:
+                break
+        edge = BUCKET_EDGES_S[k] if k < len(BUCKET_EDGES_S) else math.inf
+        return min(max(edge, self.min), self.max)
 
 
 class MetricsRegistry:
-    """Named counters plus per-name duration observations."""
+    """Named counters plus per-name duration histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._durations: Dict[str, List[float]] = {}
+        self._timers: Dict[str, DurationHistogram] = {}
 
     def incr(self, name: str, by: int = 1) -> None:
         with self._lock:
@@ -47,20 +115,17 @@ class MetricsRegistry:
 
     def observe(self, name: str, duration_s: float) -> None:
         with self._lock:
-            self._durations.setdefault(name, []).append(duration_s)
-
-    def durations(self, name: str) -> List[float]:
-        with self._lock:
-            return list(self._durations.get(name, []))
+            timer = self._timers.get(name)
+            if timer is None:
+                timer = self._timers[name] = DurationHistogram()
+            timer.observe(duration_s)
 
     def summary(self) -> Dict[str, Union[int, float]]:
         """Flat dict: every counter, plus p50/p95/total per timer."""
         with self._lock:
             out: Dict[str, Union[int, float]] = dict(self._counters)
-            for name, values in self._durations.items():
-                if not values:
-                    continue
-                out[f"{name}_p50_s"] = percentile(values, 50.0)
-                out[f"{name}_p95_s"] = percentile(values, 95.0)
-                out[f"{name}_total_s"] = sum(values)
+            for name, timer in self._timers.items():
+                out[f"{name}_p50_s"] = timer.percentile(50.0)
+                out[f"{name}_p95_s"] = timer.percentile(95.0)
+                out[f"{name}_total_s"] = timer.total
             return out

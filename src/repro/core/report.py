@@ -11,7 +11,7 @@ listing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.classify import Classification, InstallationFeatures
 from repro.core.fov import FieldOfViewEstimate
@@ -21,6 +21,9 @@ from repro.node.claims import NodeClaims
 
 #: Excess-attenuation grade boundaries, dB.
 _GRADE_EDGES = ((3.0, "A"), (8.0, "B"), (15.0, "C"), (25.0, "D"))
+
+#: Per-band contribution of each grade to the frequency score.
+_GRADE_SCORES = {"A": 1.0, "B": 0.8, "C": 0.55, "D": 0.3, "E": 0.1, "F": 0.0}
 
 
 def grade_for_excess_db(excess_db: Optional[float]) -> str:
@@ -84,26 +87,35 @@ class CalibrationReport:
                 for m in self.profile.measurements
             ]
 
+    def scores(self) -> Tuple[float, float, float]:
+        """``(directional, frequency, overall)`` quality scores, each 0-1.
+
+        Directional is the open-horizon fraction. Frequency is the mean
+        over measured bands of a per-band score: 1.0 for grade A down
+        to 0.0 for F. Overall weighs the two equally. Every score
+        method and serializer reads from here, so the formula lives in
+        one place.
+        """
+        directional = self.fov.open_fraction()
+        if self.band_grades:
+            frequency = sum(
+                _GRADE_SCORES[g.grade] for g in self.band_grades
+            ) / len(self.band_grades)
+        else:
+            frequency = 0.0
+        return directional, frequency, 0.5 * directional + 0.5 * frequency
+
     def directional_score(self) -> float:
         """0-1 score for angular coverage (open-horizon fraction)."""
-        return self.fov.open_fraction()
+        return self.scores()[0]
 
     def frequency_score(self) -> float:
-        """0-1 score for spectral coverage.
-
-        Mean over measured bands of a per-band score: 1.0 for grade A
-        down to 0.0 for F.
-        """
-        if not self.band_grades:
-            return 0.0
-        scale = {"A": 1.0, "B": 0.8, "C": 0.55, "D": 0.3, "E": 0.1, "F": 0.0}
-        return sum(scale[g.grade] for g in self.band_grades) / len(
-            self.band_grades
-        )
+        """0-1 score for spectral coverage (see :meth:`scores`)."""
+        return self.scores()[1]
 
     def overall_score(self) -> float:
         """Combined quality score in [0, 1]."""
-        return 0.5 * self.directional_score() + 0.5 * self.frequency_score()
+        return self.scores()[2]
 
     def verify_claims(self, claims: NodeClaims) -> List[ClaimViolation]:
         """Check operator claims against the measurements."""

@@ -183,6 +183,7 @@ def report_to_dict(report: CalibrationReport) -> Dict[str, Any]:
     """Serialize a full calibration report."""
     features = report.features
     classification = report.classification
+    directional, frequency, overall = report.scores()
     return {
         "node_id": report.node_id,
         "scan": scan_to_dict(report.scan),
@@ -213,9 +214,9 @@ def report_to_dict(report: CalibrationReport) -> Dict[str, Any]:
             for g in report.band_grades
         ],
         "scores": {
-            "directional": report.directional_score(),
-            "frequency": report.frequency_score(),
-            "overall": report.overall_score(),
+            "directional": directional,
+            "frequency": frequency,
+            "overall": overall,
         },
     }
 

@@ -7,7 +7,12 @@ therefore projects every :class:`~repro.core.network.NodeAssessment`
 scalar the list endpoints sort and filter on into one numpy record
 array (plus per-band matrices for the spectrum queries), built once
 per snapshot and never mutated afterwards — the store swaps whole
-snapshots instead of editing them in place.
+snapshots instead of editing them in place. The build is one pass
+over the assessments that collects each node's summary values as a
+plain tuple (scoring each report once, via
+:meth:`~repro.core.report.CalibrationReport.scores`) and converts all
+of them with one numpy call, so a publish costs a list build, not one
+numpy write per field per node.
 
 Full per-node detail (the complete serialized assessment) stays on
 the snapshot as objects; only the hot list/filter path is columnar.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -46,6 +51,10 @@ SUMMARY_DTYPE = np.dtype(
 @dataclass(frozen=True)
 class FleetColumns:
     """Immutable columnar view over one fleet snapshot.
+
+    Nothing here is written after :meth:`build` returns, which is what
+    lets :class:`~repro.serve.store.FleetSnapshot` memoise sort orders
+    over these columns for the snapshot's lifetime.
 
     Attributes:
         node_ids: node ids in ascending order; every array below is
@@ -88,7 +97,10 @@ class FleetColumns:
         """Project a ``{node_id: NodeAssessment}`` map into columns."""
         node_ids = tuple(sorted(assessments))
         n = len(node_ids)
-        summary = np.zeros(n, dtype=SUMMARY_DTYPE)
+        # One tuple per node in SUMMARY_DTYPE field order, converted
+        # in a single call: per-field writes into a numpy record cost
+        # more than the values themselves.
+        rows: List[Tuple[Any, ...]] = []
         installations: List[str] = []
 
         band_keys = _band_union(assessments)
@@ -104,29 +116,28 @@ class FleetColumns:
             a = assessments[node_id]
             report = a.report
             scan = report.scan
-            row = summary[i]
-            row["trust"] = a.trust.trust_score()
-            row["overall"] = report.overall_score()
-            row["directional"] = report.directional_score()
-            row["frequency"] = report.frequency_score()
-            row["open_fraction"] = report.fov.open_fraction()
-            row["outdoor"] = report.classification.outdoor
-            row["outdoor_probability"] = (
-                report.classification.outdoor_probability
+            classification = report.classification
+            directional, frequency, overall = report.scores()
+            rows.append(
+                (
+                    a.trust.trust_score(),
+                    overall,
+                    directional,
+                    frequency,
+                    directional,  # open_fraction: the same FoV value
+                    classification.outdoor,
+                    classification.outdoor_probability,
+                    len(a.claim_violations),
+                    len(scan.ghost_icaos),
+                    len(scan.observations),
+                    sum(1 for obs in scan.observations if obs.received),
+                    scan.decoded_message_count,
+                    a.abs_power.full_scale_dbm_estimate
+                    if a.abs_power is not None
+                    else np.nan,
+                )
             )
-            row["n_violations"] = len(a.claim_violations)
-            row["n_ghosts"] = len(scan.ghost_icaos)
-            row["n_observations"] = len(scan.observations)
-            row["n_received"] = sum(
-                1 for o in scan.observations if o.received
-            )
-            row["decoded_messages"] = scan.decoded_message_count
-            row["abs_power_dbm"] = (
-                a.abs_power.full_scale_dbm_estimate
-                if a.abs_power is not None
-                else np.nan
-            )
-            installations.append(report.classification.installation)
+            installations.append(classification.installation)
             for m in report.profile.measurements:
                 j = band_index[m.label]
                 measured[i, j] = m.measured
@@ -134,6 +145,8 @@ class FleetColumns:
                 if m.excess_attenuation_db is not None:
                     excess[i, j] = m.excess_attenuation_db
                 decoded[i, j] = m.decoded
+
+        summary = np.array(rows, dtype=SUMMARY_DTYPE)
 
         return cls(
             node_ids=node_ids,

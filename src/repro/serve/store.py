@@ -16,18 +16,20 @@ Every query helper here returns plain JSON-ready dicts; HTTP concerns
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -74,8 +76,22 @@ class Page:
         }
 
 
+#: A memoised sort order: a summary field name, or ``("band", j)``
+#: for band column ``j`` of the measured-power matrix.
+OrderKey = Union[str, Tuple[str, int]]
+
+
 class FleetSnapshot:
-    """One immutable, queryable picture of the whole fleet."""
+    """One immutable, queryable picture of the whole fleet.
+
+    Because a snapshot never changes after construction, the full
+    stable sort order of any column it is queried by is computed once,
+    on first use, and memoised on the snapshot (:meth:`order`); a
+    filtered, sorted query is then a boolean slice of that order, and
+    a page's rows are built from one gather of column slices rather
+    than row by row. Two readers racing on the first use of an order
+    both compute the same array, so the memo needs no lock.
+    """
 
     def __init__(
         self,
@@ -99,43 +115,111 @@ class FleetSnapshot:
         #: Content identity: same fleet data -> same etag, regardless
         #: of generation counter, so unchanged re-publishes revalidate.
         self.etag = self.columns.content_hash()
+        self._orders: Dict[OrderKey, np.ndarray] = {}
 
     @property
     def n_nodes(self) -> int:
         return self.columns.n_nodes
 
     # ------------------------------------------------------------------
-    # row shaping
+    # sort orders and row shaping
+
+    def order(self, key: OrderKey) -> np.ndarray:
+        """Stable ascending argsort of one full column, memoised.
+
+        ``key`` names a summary field or ``("band", j)``. Filtering
+        the order by a row mask (``order[mask[order]]``) gives exactly
+        the stable argsort of the selected rows: ties still break by
+        row index.
+        """
+        order = self._orders.get(key)
+        if order is None:
+            cols = self.columns
+            column = (
+                cols.band_measured_dbm[:, key[1]]
+                if isinstance(key, tuple)
+                else cols.summary[key]
+            )
+            order = self._orders.setdefault(
+                key, np.argsort(column, kind="stable")
+            )
+        return order
 
     def node_row(self, i: int) -> Dict[str, Any]:
         """The list-endpoint summary row for node at column row ``i``."""
+        return self.node_rows(np.asarray([i]))[0]
+
+    def node_rows(self, idx: np.ndarray) -> List[Dict[str, Any]]:
+        """Summary rows for column rows ``idx``, in that order.
+
+        One gather of the summary records and one ``tolist()`` per
+        field yield the same Python scalars per-element casts would.
+        """
         cols = self.columns
-        row = cols.summary[i]
-        node_id = cols.node_ids[i]
-        abs_power = float(row["abs_power_dbm"])
-        drift = self.drift.get(node_id)
-        return {
-            "node_id": node_id,
-            "trust": float(row["trust"]),
-            "scores": {
-                "overall": float(row["overall"]),
-                "directional": float(row["directional"]),
-                "frequency": float(row["frequency"]),
-            },
-            "open_fraction": float(row["open_fraction"]),
-            "installation": str(cols.installations[i]),
-            "outdoor": bool(row["outdoor"]),
-            "outdoor_probability": float(row["outdoor_probability"]),
-            "violations": int(row["n_violations"]),
-            "ghosts": int(row["n_ghosts"]),
-            "observations": int(row["n_observations"]),
-            "received": int(row["n_received"]),
-            "decoded_messages": int(row["decoded_messages"]),
-            "abs_power_dbm": (
-                abs_power if not np.isnan(abs_power) else None
-            ),
-            "drift_events": drift.events if drift is not None else 0,
-        }
+        s = cols.summary[idx]
+        drift = self.drift
+        rows: List[Dict[str, Any]] = []
+        for (
+            node_id,
+            trust,
+            overall,
+            directional,
+            frequency,
+            open_fraction,
+            installation,
+            outdoor,
+            outdoor_probability,
+            violations,
+            ghosts,
+            observations,
+            received,
+            decoded_messages,
+            abs_power,
+        ) in zip(
+            [cols.node_ids[i] for i in idx.tolist()],
+            s["trust"].tolist(),
+            s["overall"].tolist(),
+            s["directional"].tolist(),
+            s["frequency"].tolist(),
+            s["open_fraction"].tolist(),
+            cols.installations[idx].tolist(),
+            s["outdoor"].tolist(),
+            s["outdoor_probability"].tolist(),
+            s["n_violations"].tolist(),
+            s["n_ghosts"].tolist(),
+            s["n_observations"].tolist(),
+            s["n_received"].tolist(),
+            s["decoded_messages"].tolist(),
+            s["abs_power_dbm"].tolist(),
+        ):
+            node_drift = drift.get(node_id)
+            rows.append(
+                {
+                    "node_id": node_id,
+                    "trust": trust,
+                    "scores": {
+                        "overall": overall,
+                        "directional": directional,
+                        "frequency": frequency,
+                    },
+                    "open_fraction": open_fraction,
+                    "installation": installation,
+                    "outdoor": outdoor,
+                    "outdoor_probability": outdoor_probability,
+                    "violations": violations,
+                    "ghosts": ghosts,
+                    "observations": observations,
+                    "received": received,
+                    "decoded_messages": decoded_messages,
+                    "abs_power_dbm": (
+                        abs_power if not math.isnan(abs_power) else None
+                    ),
+                    "drift_events": (
+                        node_drift.events if node_drift is not None else 0
+                    ),
+                }
+            )
+        return rows
 
     # ------------------------------------------------------------------
     # queries
@@ -172,13 +256,14 @@ class FleetSnapshot:
             mask &= cols.installations == installation
         if outdoor is not None:
             mask &= s["outdoor"] == outdoor
-        selected = np.nonzero(mask)[0]
-        if sort != "node_id":
-            order = np.argsort(s[sort][selected], kind="stable")
-            selected = selected[order]
+        if sort == "node_id":
+            selected = np.nonzero(mask)[0]
+        else:
+            order = self.order(sort)
+            selected = order[mask[order]]
         if descending:
             selected = selected[::-1]
-        return self._paginate(selected, cursor, limit, self.node_row)
+        return self._paginate(selected, cursor, limit, self.node_rows)
 
     def node_detail(self, node_id: str) -> Optional[Dict[str, Any]]:
         """Full serialized assessment for one node (None if unknown)."""
@@ -217,7 +302,7 @@ class FleetSnapshot:
     ) -> Page:
         """Trust scores with per-check detail, worst node first."""
         cols = self.columns
-        order = np.argsort(cols.summary["trust"], kind="stable")
+        order = self.order("trust")
         if untrustworthy_only:
             order = order[
                 cols.summary["trust"][order] < threshold
@@ -241,7 +326,9 @@ class FleetSnapshot:
                 ],
             }
 
-        return self._paginate(order, cursor, limit, row)
+        return self._paginate(
+            order, cursor, limit, lambda idx: [row(i) for i in idx.tolist()]
+        )
 
     def drift_rows(self) -> List[Dict[str, Any]]:
         """Every node with drift state, most recent event first."""
@@ -311,23 +398,30 @@ class FleetSnapshot:
             mask &= measured >= min_dbm
         if decoded_only:
             mask &= cols.band_decoded[:, j]
-        selected = np.nonzero(mask)[0]
-        order = np.argsort(measured[selected], kind="stable")[::-1]
-        selected = selected[order]
+        order = self.order(("band", j))
+        selected = order[mask[order]][::-1]
 
-        def row(i: int) -> Dict[str, Any]:
-            excess = float(cols.band_excess_db[i, j])
-            return {
-                "node_id": cols.node_ids[i],
-                "measured_dbm": float(measured[i]),
-                "expected_dbm": float(cols.band_expected_dbm[i, j]),
-                "excess_db": (
-                    excess if not np.isnan(excess) else None
-                ),
-                "decoded": bool(cols.band_decoded[i, j]),
-            }
+        def rows(idx: np.ndarray) -> List[Dict[str, Any]]:
+            return [
+                {
+                    "node_id": cols.node_ids[i],
+                    "measured_dbm": measured_dbm,
+                    "expected_dbm": expected_dbm,
+                    "excess_db": (
+                        excess_db if not math.isnan(excess_db) else None
+                    ),
+                    "decoded": decoded,
+                }
+                for i, measured_dbm, expected_dbm, excess_db, decoded in zip(
+                    idx.tolist(),
+                    measured[idx].tolist(),
+                    cols.band_expected_dbm[idx, j].tolist(),
+                    cols.band_excess_db[idx, j].tolist(),
+                    cols.band_decoded[idx, j].tolist(),
+                )
+            ]
 
-        return self._paginate(selected, cursor, limit, row)
+        return self._paginate(selected, cursor, limit, rows)
 
     def fleet_summary(self) -> Dict[str, Any]:
         """The one-look fleet overview (the `/v1/fleet` body)."""
@@ -366,10 +460,10 @@ class FleetSnapshot:
 
     @staticmethod
     def _paginate(
-        selected: Sequence[int],
+        selected: np.ndarray,
         cursor: int,
         limit: int,
-        row: Any,
+        rows: Callable[[np.ndarray], List[Dict[str, Any]]],
     ) -> Page:
         if cursor < 0:
             raise ValueError(f"cursor must be >= 0: {cursor}")
@@ -379,7 +473,7 @@ class FleetSnapshot:
         window = selected[cursor : cursor + limit]
         next_cursor = cursor + limit
         return Page(
-            items=[row(int(i)) for i in window],
+            items=rows(window),
             next_cursor=next_cursor if next_cursor < total else None,
             total=total,
         )

@@ -1,5 +1,7 @@
 """Tests for repro.core.report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,26 @@ class TestScores:
 
     def test_rooftop_frequency_score_high(self, reports):
         assert reports["rooftop"][1].frequency_score() > 0.8
+
+    def test_scores_tuple_matches_the_formula_exactly(self, reports):
+        scale = {"A": 1.0, "B": 0.8, "C": 0.55, "D": 0.3, "E": 0.1, "F": 0.0}
+        for _node, report in reports.values():
+            directional = report.fov.open_fraction()
+            frequency = sum(
+                scale[g.grade] for g in report.band_grades
+            ) / len(report.band_grades)
+            overall = 0.5 * directional + 0.5 * frequency
+            assert report.scores() == (directional, frequency, overall)
+            assert report.directional_score() == directional
+            assert report.frequency_score() == frequency
+            assert report.overall_score() == overall
+
+    def test_no_bands_scores_zero_frequency(self, reports):
+        _, report = reports["rooftop"]
+        report = dataclasses.replace(report)
+        report.band_grades = []
+        directional = report.fov.open_fraction()
+        assert report.scores() == (directional, 0.0, 0.5 * directional)
 
 
 class TestClaimVerification:

@@ -21,7 +21,7 @@ Commands:
 - ``schedule --windows N`` — compare measurement-scheduling
   strategies for a daily budget.
 - ``stream --source {replay,sim}`` — run the live ingest gateway:
-  online incremental calibration over a replayed or simulated record
+  sliding-window calibration over a replayed or simulated record
   stream, with drift detection and re-calibration requests
   (``--window``, ``--drift-threshold``, ``--swap-to`` for the drift
   scenario).
@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help=(
-            "run the live ingest gateway: online incremental "
+            "run the live ingest gateway: sliding-window "
             "calibration with drift detection"
         ),
     )

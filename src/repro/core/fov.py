@@ -196,12 +196,7 @@ class SectorHistogramEstimator:
 
 
 def fill_unobserved(flags: List[Optional[bool]]) -> List[bool]:
-    """Give empty bins the verdict of the nearest populated bin.
-
-    Shared with the streaming engine's incremental sector statistics
-    (:mod:`repro.stream.online`), which must fill identically to stay
-    bit-compatible with this estimator.
-    """
+    """Give empty bins the verdict of the nearest populated bin."""
     n = len(flags)
     if all(f is None for f in flags):
         return [False] * n

@@ -16,10 +16,10 @@ service:
   for drift scenarios);
 - :mod:`repro.stream.session` — per-sender consumers with heartbeats,
   malformed-line quarantine, and the online §3.1 truth join;
-- :mod:`repro.stream.online` — sliding-window incremental sector
-  statistics (bit-compatible with the batch
-  :class:`~repro.core.fov.SectorHistogramEstimator`) and incremental
-  trust-check state;
+- :mod:`repro.stream.online` — the time-ordered sliding window of
+  raw records, reduced at each window close by the batch
+  :class:`~repro.core.fov.SectorHistogramEstimator` and
+  :class:`~repro.core.network.TrustEvaluator` themselves;
 - :mod:`repro.stream.drift` — divergence detection against the
   accepted profile, requesting re-calibration through
   :class:`~repro.core.scheduler.MeasurementScheduler`;
@@ -49,11 +49,7 @@ from repro.stream.engine import (
     WindowSummary,
 )
 from repro.stream.gateway import GatewayConfig, StreamGateway
-from repro.stream.online import (
-    OnlineSectorStats,
-    OnlineTrustStats,
-    SlidingWindow,
-)
+from repro.stream.online import OnlineSectorStats, SlidingWindow
 from repro.stream.records import (
     GhostRecord,
     HeartbeatRecord,
@@ -82,7 +78,6 @@ __all__ = [
     "ObservationRecord",
     "OnlineCalibrationEngine",
     "OnlineSectorStats",
-    "OnlineTrustStats",
     "OverflowPolicy",
     "PutResult",
     "QueueStats",

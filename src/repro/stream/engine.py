@@ -3,10 +3,11 @@
 One engine per connected node: it owns the sliding window, advances
 the stream clock, finalizes calibration windows as time crosses
 window boundaries (running the drift detector on each), and can at
-any moment materialize its online state into the same
+any moment materialize its window into the same
 :class:`~repro.core.network.NodeAssessment` the batch pipeline
-produces — so a streaming deployment and `evaluate_network` results
-are directly comparable (and serialize through the same
+produces. Both run the batch estimators on the window's scan, so a
+streaming deployment and `evaluate_network` results agree by
+construction (and serialize through the same
 :mod:`repro.core.serialize` converters the runtime cache uses).
 """
 
@@ -19,32 +20,23 @@ from typing import Callable, List, Optional
 from repro.adsb.icao import IcaoAddress
 from repro.core.classify import classify_node, extract_features
 from repro.core.frequency import FrequencyProfile
-from repro.core.network import NodeAssessment, TrustAssessment
+from repro.core.network import NodeAssessment, TrustEvaluator
 from repro.core.observations import AircraftObservation
 from repro.core.report import CalibrationReport
 from repro.stream.drift import DriftDetector, DriftEvent, RecalibrationRequest
-from repro.stream.online import (
-    OnlineSectorStats,
-    OnlineTrustStats,
-    SlidingWindow,
-)
+from repro.stream.online import OnlineSectorStats, SlidingWindow
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Tunables for one node's online calibration.
 
-    ``bin_deg`` / ``min_range_km`` / ``min_received`` / ``min_ratio``
-    mirror :class:`~repro.core.fov.SectorHistogramEstimator` so the
-    online estimate stays bit-compatible with the batch path.
+    Sector binning is the batch
+    :class:`~repro.core.fov.SectorHistogramEstimator`'s own.
     """
 
     window_s: float = 30.0
     radius_m: float = 100_000.0
-    bin_deg: float = 10.0
-    min_range_km: float = 20.0
-    min_received: int = 1
-    min_ratio: float = 0.34
     drift_threshold: float = 0.30
     drift_min_evidence: int = 20
     recalibration_windows: int = 3
@@ -74,8 +66,9 @@ class OnlineCalibrationEngine:
     / :meth:`advance` with non-decreasing timestamps (the broker's
     per-node FIFO preserves source order). Whenever time crosses a
     ``window_s`` boundary the engine finalizes the completed window:
-    evicts expired entries, takes the incremental sector estimate, and
-    runs the drift detector against the node's accepted profile.
+    evicts expired entries, runs the batch sector estimator over the
+    window's scan, and runs the drift detector against the node's
+    accepted profile.
     """
 
     def __init__(
@@ -87,16 +80,8 @@ class OnlineCalibrationEngine:
         self.node_id = node_id
         self.config = config or EngineConfig()
         cfg = self.config
-        self.window = SlidingWindow(
-            window_s=cfg.window_s,
-            sector=OnlineSectorStats(
-                bin_deg=cfg.bin_deg,
-                min_range_km=cfg.min_range_km,
-                min_received=cfg.min_received,
-                min_ratio=cfg.min_ratio,
-            ),
-            trust=OnlineTrustStats(),
-        )
+        self.window = SlidingWindow(window_s=cfg.window_s)
+        self.sector = OnlineSectorStats()
         self.drift = DriftDetector(
             node_id=node_id,
             threshold=cfg.drift_threshold,
@@ -146,8 +131,9 @@ class OnlineCalibrationEngine:
             self.on_window_end(boundary_s)
         self.now_s = boundary_s
         self.window.evict_until(boundary_s)
-        estimate = self.window.sector.estimate()
-        evidence = self.window.sector.evidence_count()
+        scan = self.window.to_scan(self.node_id, self.config.radius_m)
+        estimate = self.sector.estimate(scan)
+        evidence = self.sector.evidence(scan)
         drift = self.drift.check(boundary_s, estimate, evidence)
         self.summaries.append(
             WindowSummary(
@@ -194,18 +180,19 @@ class OnlineCalibrationEngine:
         return [event.request for event in self.drift.events]
 
     def snapshot(self) -> NodeAssessment:
-        """Materialize the online state as a batch-shaped assessment.
+        """Materialize the window as a batch-shaped assessment.
 
         The scan covers the current sliding window; the field of view
-        is the incremental sector estimate; the frequency profile is
-        empty (a live ADS-B stream carries no §3.2 sweep), which the
-        feature extractor and classifier handle as "nothing decoded".
+        and trust checks are the batch estimators' over that scan; the
+        frequency profile is empty (a live ADS-B stream carries no
+        §3.2 sweep), which the feature extractor and classifier handle
+        as "nothing decoded".
         The result round-trips through
         :func:`repro.core.serialize.assessment_to_dict` like any
         batch assessment.
         """
         scan = self.window.to_scan(self.node_id, self.config.radius_m)
-        fov = self.window.sector.estimate()
+        fov = self.sector.estimate(scan)
         profile = FrequencyProfile(node_id=self.node_id)
         report = CalibrationReport(
             node_id=self.node_id,
@@ -215,9 +202,8 @@ class OnlineCalibrationEngine:
             features=extract_features(scan, fov, profile),
             classification=classify_node(scan, fov, profile),
         )
-        trust = TrustAssessment(
-            node_id=self.node_id, checks=self.window.trust.checks()
-        )
         return NodeAssessment(
-            node_id=self.node_id, report=report, trust=trust
+            node_id=self.node_id,
+            report=report,
+            trust=TrustEvaluator().assess(scan),
         )

@@ -34,7 +34,7 @@ class GatewayConfig:
 
     Attributes:
         engine: per-node online-calibration settings (window length,
-            sector binning, drift threshold).
+            truth radius, drift threshold).
         queue_capacity / policy: broker bound and overflow behaviour.
         idle_timeout_s: stream seconds without any record before a
             session is evicted by :meth:`StreamGateway.evict_idle`.

@@ -1,322 +1,61 @@
-"""Online incremental calibration state (never re-scans history).
+"""The stream engine's sliding window over raw records.
 
-The batch pipeline answers "what is this node's field of view?" by
-collecting a full :class:`~repro.core.observations.DirectionalScan`
-and running an estimator over it. A long-running service cannot
-afford that: state must update per record and stay O(window), not
-O(history). This module maintains, per node:
+The stream keeps no incremental statistics of its own. A node's
+window is :class:`SlidingWindow`, a time-ordered deque of the joined
+observations and ghosts it holds. At each window close and each
+snapshot the engine materialises the window as a
+:class:`~repro.core.observations.DirectionalScan` and runs the batch
+estimators on it (:class:`OnlineSectorStats` is
+:class:`~repro.core.fov.SectorHistogramEstimator`), so a streamed
+window and a batch run over the same records agree by construction.
 
-- :class:`OnlineSectorStats` — the sliding-window incremental twin of
-  :class:`~repro.core.fov.SectorHistogramEstimator`: per-bin
-  received/total counters plus a lazy-deletion max-heap for per-bin
-  range maxima. Adding and evicting an observation are O(log w);
-  taking an estimate is O(bins). On any window it produces
-  *bit-identical* flags to the batch estimator over the same
-  observations (tested).
-- :class:`OnlineTrustStats` — incremental twins of the
-  :class:`~repro.core.network.TrustEvaluator` checks (ghost,
-  too-perfect, RSSI trend), maintained as windowed counts and moment
-  sums, materialized into the same
-  :class:`~repro.core.network.TrustCheck` records the batch path
-  serializes.
-
-Both are driven by :class:`SlidingWindow`, a time-ordered deque that
-evicts entries older than ``window_s`` and reverses their
-contribution — the only data structure that ever holds raw
-observations.
+The engine closes a window before it appends the record that crossed
+the boundary, and evicts everything older than ``window_s`` first, so
+each close reduces exactly one tumbling window's records: O(1)
+amortised per record.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Tuple, Union
 
 from repro.adsb.icao import IcaoAddress
-from repro.core.fov import (
-    MULTIPATH_FLOOR_KM,
-    FieldOfViewEstimate,
-    fill_unobserved,
-)
-from repro.core.network import TrustCheck
+from repro.core.fov import FieldOfViewEstimate, SectorHistogramEstimator
 from repro.core.observations import AircraftObservation, DirectionalScan
 
 
-class _LazyMaxHeap:
-    """Max over a multiset with deferred deletions.
+class OnlineSectorStats(SectorHistogramEstimator):
+    """The batch sector estimator, as the stream engine runs it."""
 
-    ``push``/``discard`` are O(log n) amortized; ``max`` pops dead
-    entries lazily. This is what lets per-bin range maxima survive
-    sliding-window eviction without re-scanning the window.
-    """
+    def estimate(self, scan: DirectionalScan) -> FieldOfViewEstimate:
+        # The benchmark traces stream estimates under this name.
+        return super().estimate(scan)
 
-    def __init__(self) -> None:
-        self._heap: List[float] = []
-        self._dead: Dict[float, int] = {}
-
-    def push(self, value: float) -> None:
-        heapq.heappush(self._heap, -value)
-
-    def discard(self, value: float) -> None:
-        self._dead[value] = self._dead.get(value, 0) + 1
-
-    def max(self) -> float:
-        """Current maximum, or 0.0 when empty (the batch default)."""
-        while self._heap:
-            top = -self._heap[0]
-            dead = self._dead.get(top, 0)
-            if dead:
-                heapq.heappop(self._heap)
-                if dead == 1:
-                    del self._dead[top]
-                else:
-                    self._dead[top] = dead - 1
-                continue
-            return top
-        return 0.0
-
-
-@dataclass
-class OnlineSectorStats:
-    """Incremental per-sector received/missed statistics.
-
-    Parameters mirror
-    :class:`~repro.core.fov.SectorHistogramEstimator` exactly, and
-    :meth:`estimate` applies the same open/closed rule and
-    nearest-neighbour fill, so a window's estimate is bit-identical
-    to running the batch estimator over the window's observations.
-    """
-
-    bin_deg: float = 10.0
-    min_range_km: float = MULTIPATH_FLOOR_KM
-    min_received: int = 1
-    min_ratio: float = 0.34
-
-    def __post_init__(self) -> None:
-        self.n_bins = int(round(360.0 / self.bin_deg))
-        self._received = [0] * self.n_bins
-        self._total = [0] * self.n_bins
-        self._ranges = [_LazyMaxHeap() for _ in range(self.n_bins)]
-
-    def _bin(self, bearing_deg: float) -> int:
-        return int(bearing_deg / self.bin_deg) % self.n_bins
-
-    def add(self, obs: AircraftObservation) -> None:
-        """Fold one observation into the window."""
-        if obs.ground_range_km < self.min_range_km:
-            return
-        idx = self._bin(obs.bearing_deg)
-        self._total[idx] += 1
-        if obs.received:
-            self._received[idx] += 1
-            self._ranges[idx].push(obs.ground_range_km)
-
-    def remove(self, obs: AircraftObservation) -> None:
-        """Reverse :meth:`add` when the observation leaves the window."""
-        if obs.ground_range_km < self.min_range_km:
-            return
-        idx = self._bin(obs.bearing_deg)
-        self._total[idx] -= 1
-        if obs.received:
-            self._received[idx] -= 1
-            self._ranges[idx].discard(obs.ground_range_km)
-
-    def evidence_count(self) -> int:
-        """Informative observations currently in the window."""
-        return sum(self._total)
-
-    def estimate(self) -> FieldOfViewEstimate:
-        """The window's field-of-view estimate (batch-identical)."""
-        flags: List[Optional[bool]] = [None] * self.n_bins
-        for i in range(self.n_bins):
-            if self._total[i] == 0:
-                continue
-            flags[i] = (
-                self._received[i] >= self.min_received
-                and self._received[i] / self._total[i] >= self.min_ratio
-            )
-        return FieldOfViewEstimate(
-            bin_deg=self.bin_deg,
-            open_flags=fill_unobserved(flags),
-            max_range_km=[h.max() for h in self._ranges],
+    def evidence(self, scan: DirectionalScan) -> int:
+        """Informative observations: those beyond the multipath floor."""
+        return sum(
+            1
+            for obs in scan.observations
+            if obs.ground_range_km >= self.min_range_km
         )
 
 
-@dataclass
-class OnlineTrustStats:
-    """Windowed counts and moment sums behind the trust checks.
-
-    Thresholds mirror :class:`~repro.core.network.TrustEvaluator`;
-    the RSSI spread/trend uses running moment sums instead of a
-    re-scan, so verdicts agree with the batch evaluator up to float
-    summation order.
-    """
-
-    max_ghost_fraction: float = 0.10
-    perfect_rate_threshold: float = 0.98
-    far_range_km: float = 70.0
-
-    n_observations: int = 0
-    n_received: int = 0
-    n_far: int = 0
-    n_far_received: int = 0
-    ghost_count: int = 0
-    ghost_messages: int = 0
-    received_messages: int = 0
-    # RSSI-vs-log-distance moment sums over received observations.
-    rssi_n: int = 0
-    rssi_sx: float = 0.0
-    rssi_sy: float = 0.0
-    rssi_sxx: float = 0.0
-    rssi_syy: float = 0.0
-    rssi_sxy: float = 0.0
-
-    def _rssi_point(
-        self, obs: AircraftObservation
-    ) -> Optional[Tuple[float, float]]:
-        if not obs.received or obs.mean_rssi_dbfs is None:
-            return None
-        return (
-            math.log10(max(obs.ground_range_m, 1.0)),
-            obs.mean_rssi_dbfs,
-        )
-
-    def add(self, obs: AircraftObservation) -> None:
-        self._apply(obs, +1)
-
-    def remove(self, obs: AircraftObservation) -> None:
-        self._apply(obs, -1)
-
-    def _apply(self, obs: AircraftObservation, sign: int) -> None:
-        self.n_observations += sign
-        far = obs.ground_range_km >= self.far_range_km
-        if far:
-            self.n_far += sign
-        if obs.received:
-            self.n_received += sign
-            self.received_messages += sign * obs.n_messages
-            if far:
-                self.n_far_received += sign
-        point = self._rssi_point(obs)
-        if point is not None:
-            x, y = point
-            self.rssi_n += sign
-            self.rssi_sx += sign * x
-            self.rssi_sy += sign * y
-            self.rssi_sxx += sign * x * x
-            self.rssi_syy += sign * y * y
-            self.rssi_sxy += sign * x * y
-
-    def add_ghost(self, n_messages: int = 1) -> None:
-        self.ghost_count += 1
-        self.ghost_messages += n_messages
-
-    def remove_ghost(self, n_messages: int = 1) -> None:
-        self.ghost_count -= 1
-        self.ghost_messages -= n_messages
-
-    def _ghost_check(self) -> TrustCheck:
-        reported = self.n_received + self.ghost_count
-        if reported == 0:
-            return TrustCheck("ghost", True, 1.0, "no reported aircraft")
-        fraction = self.ghost_count / reported
-        passed = fraction <= self.max_ghost_fraction
-        slack = self.max_ghost_fraction * 4.0
-        score = max(0.0, 1.0 - fraction / slack) if slack > 0 else 0.0
-        if fraction == 0.0:
-            score = 1.0
-        return TrustCheck(
-            "ghost",
-            passed,
-            score,
-            f"{self.ghost_count} ghost aircraft "
-            f"({fraction:.1%} of reported)",
-        )
-
-    def _too_perfect_check(self) -> TrustCheck:
-        if self.n_observations < 10 or self.n_far < 5:
-            return TrustCheck(
-                "too_perfect", True, 1.0, "insufficient traffic to judge"
-            )
-        total_rate = self.n_received / self.n_observations
-        far_rate = self.n_far_received / self.n_far
-        suspicious = (
-            total_rate >= self.perfect_rate_threshold
-            and far_rate >= self.perfect_rate_threshold
-        )
-        return TrustCheck(
-            "too_perfect",
-            not suspicious,
-            0.2 if suspicious else 1.0,
-            f"reception rate {total_rate:.1%}, far-aircraft rate "
-            f"{far_rate:.1%}",
-        )
-
-    def _rssi_check(self) -> TrustCheck:
-        n = self.rssi_n
-        if n < 8:
-            return TrustCheck(
-                "rssi", True, 1.0, "too few RSSI samples to judge"
-            )
-        var_y = max(self.rssi_syy / n - (self.rssi_sy / n) ** 2, 0.0)
-        spread = math.sqrt(var_y)
-        if spread < 1.5:
-            return TrustCheck(
-                "rssi",
-                False,
-                0.2,
-                f"implausibly uniform RSSI (std {spread:.2f} dB)",
-            )
-        var_x = max(self.rssi_sxx / n - (self.rssi_sx / n) ** 2, 0.0)
-        cov = self.rssi_sxy / n - (self.rssi_sx / n) * (self.rssi_sy / n)
-        denom = math.sqrt(var_x * var_y)
-        corr = cov / denom if denom > 0.0 else 0.0
-        if corr > 0.3:
-            return TrustCheck(
-                "rssi",
-                False,
-                0.6,
-                f"RSSI increases with distance (corr {corr:+.2f})",
-            )
-        return TrustCheck(
-            "rssi",
-            True,
-            1.0,
-            f"RSSI std {spread:.1f} dB, distance corr {corr:+.2f}",
-        )
-
-    def checks(self) -> List[TrustCheck]:
-        """The window's trust checks, batch-ordered."""
-        return [
-            self._ghost_check(),
-            self._too_perfect_check(),
-            self._rssi_check(),
-        ]
-
-
-#: Window entries: a joined observation or a ghost ICAO.
-_OBS = "obs"
-_GHOST = "ghost"
+#: Window entries: ``(time_s, observation or ghost ICAO, n_messages)``.
+_Entry = Tuple[float, Union[AircraftObservation, IcaoAddress], int]
 
 
 @dataclass
 class SlidingWindow:
     """Time-ordered window over observations and ghosts.
 
-    The one place raw records are retained. Everything else
-    (sector stats, trust stats) is a running aggregate updated on
-    admit/evict — eviction walks only the expiring prefix, never the
-    whole window.
+    The one place raw records are retained. Eviction walks only the
+    expiring prefix, never the whole window.
     """
 
     window_s: float
-    sector: OnlineSectorStats
-    trust: OnlineTrustStats
-    _entries: Deque[Tuple[float, str, object, int]] = field(
-        default_factory=deque
-    )
+    _entries: Deque[_Entry] = field(default_factory=deque)
 
     def __post_init__(self) -> None:
         if self.window_s <= 0.0:
@@ -325,58 +64,40 @@ class SlidingWindow:
     def add_observation(
         self, time_s: float, obs: AircraftObservation
     ) -> None:
-        self._entries.append((time_s, _OBS, obs, 0))
-        self.sector.add(obs)
-        self.trust.add(obs)
+        n_messages = obs.n_messages if obs.received else 0
+        self._entries.append((time_s, obs, n_messages))
 
     def add_ghost(
         self, time_s: float, icao: IcaoAddress, n_messages: int = 1
     ) -> None:
-        self._entries.append((time_s, _GHOST, icao, n_messages))
-        self.trust.add_ghost(n_messages)
+        self._entries.append((time_s, icao, n_messages))
 
     def evict_until(self, now_s: float) -> int:
         """Expire entries strictly older than ``now_s - window_s``."""
         cutoff = now_s - self.window_s
         evicted = 0
         while self._entries and self._entries[0][0] < cutoff:
-            _, kind, payload, n_messages = self._entries.popleft()
-            if kind == _OBS:
-                self.sector.remove(payload)
-                self.trust.remove(payload)
-            else:
-                self.trust.remove_ghost(n_messages)
+            self._entries.popleft()
             evicted += 1
         return evicted
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def observations(self) -> List[AircraftObservation]:
-        """Materialize the windowed observations (snapshot/export only)."""
-        return [
-            payload
-            for _, kind, payload, _ in self._entries
-            if kind == _OBS
-        ]
-
-    def ghost_icaos(self) -> List[IcaoAddress]:
-        """Materialize the windowed ghosts (snapshot/export only)."""
-        return sorted(
-            payload
-            for _, kind, payload, _ in self._entries
-            if kind == _GHOST
-        )
-
     def to_scan(self, node_id: str, radius_m: float) -> DirectionalScan:
-        """The window as a batch-shaped scan (snapshot/export only)."""
+        """The window as a batch-shaped scan."""
+        observations: List[AircraftObservation] = []
+        ghosts: List[IcaoAddress] = []
+        for _, payload, _ in self._entries:
+            if isinstance(payload, AircraftObservation):
+                observations.append(payload)
+            else:
+                ghosts.append(payload)
         return DirectionalScan(
             node_id=node_id,
             duration_s=self.window_s,
             radius_m=radius_m,
-            observations=self.observations(),
-            decoded_message_count=(
-                self.trust.received_messages + self.trust.ghost_messages
-            ),
-            ghost_icaos=self.ghost_icaos(),
+            observations=observations,
+            decoded_message_count=sum(n for _, _, n in self._entries),
+            ghost_icaos=sorted(ghosts),
         )

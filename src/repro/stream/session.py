@@ -16,10 +16,14 @@ and knows how to turn raw stream records into engine updates:
 - **Heartbeats** advance the clock and refresh liveness;
   sessions that stop heartbeating are evicted by the gateway's idle
   reaper.
+- **Non-finite timestamps** (NaN, ±inf) are quarantined before they
+  reach the clock: an infinite time would close windows forever, and
+  a NaN one would never be evicted.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
@@ -65,9 +69,10 @@ class SessionCounters:
     observations: int = 0
     ghosts: int = 0
     heartbeats: int = 0
+    bad_timestamps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
+        counts = {
             "records": self.records,
             "sbs_lines": self.sbs_lines,
             "malformed_lines": self.malformed_lines,
@@ -77,6 +82,11 @@ class SessionCounters:
             "ghosts": self.ghosts,
             "heartbeats": self.heartbeats,
         }
+        # A fault counter: listed once it has counted something, so a
+        # clean stream's counters read as they always have.
+        if self.bad_timestamps:
+            counts["bad_timestamps"] = self.bad_timestamps
+        return counts
 
 
 class NodeSession:
@@ -87,8 +97,9 @@ class NodeSession:
         receiver_position: the node's (claimed) location — required to
             join live SBS traffic against truth batches; replay
             records arrive pre-joined and do not need it.
-        quarantine: the most recent malformed lines as
-            ``(time_s, line, error)`` tuples, capped.
+        quarantine: the most recent malformed lines, and records with
+            a non-finite timestamp, as ``(time_s, line or record type,
+            error)`` tuples, capped.
     """
 
     def __init__(
@@ -124,6 +135,16 @@ class NodeSession:
         ):
             raise TypeError(f"unknown stream record: {type(record)!r}")
         self.counters.records += 1
+        if not math.isfinite(record.time_s):
+            self.counters.bad_timestamps += 1
+            self.quarantine.append(
+                (
+                    record.time_s,
+                    type(record).__name__,
+                    f"non-finite timestamp {record.time_s!r}",
+                )
+            )
+            return
         self.last_seen_s = max(self.last_seen_s, record.time_s)
         if isinstance(record, SbsLineRecord):
             self._handle_sbs(record)

@@ -87,12 +87,7 @@ class TestReplayEquivalence:
         batch = TrustEvaluator().assess(rooftop_scan)
         gateway = _stream([rooftop_scan], "stream-node")
         streamed = gateway.snapshot("stream-node").trust
-        assert len(streamed.checks) == len(batch.checks)
-        for ours, ref in zip(streamed.checks, batch.checks):
-            assert ours.name == ref.name
-            assert ours.passed == ref.passed
-            assert ours.score == pytest.approx(ref.score)
-            assert ours.detail == ref.detail
+        assert streamed.checks == batch.checks
 
     def test_window_scan_preserves_join(self, rooftop_scan):
         gateway = _stream([rooftop_scan], "stream-node")

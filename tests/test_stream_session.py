@@ -1,16 +1,23 @@
 """Tests for node sessions and the stream gateway."""
 
+import math
+import threading
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adsb.decoder import DecodedMessage
 from repro.adsb.icao import IcaoAddress
-from repro.adsb.sbs import to_sbs
+from repro.adsb.sbs import parse_sbs, to_sbs
 from repro.airspace.flightradar import FlightReport
 from repro.core.network import NodeAssessment
 from repro.geo.coords import GeoPoint
 from repro.stream import (
     EngineConfig,
     GatewayConfig,
+    GhostRecord,
     HeartbeatRecord,
     NodeSession,
     ObservationRecord,
@@ -256,3 +263,177 @@ class TestStreamGateway:
         assert "2 records" in text
         assert "1 quarantined" in text
         assert "broker_enqueued=2" in text
+
+
+_BAD_TIMES = [math.nan, math.inf, -math.inf]
+_BAD_RECORDS = {
+    "sbs": lambda t: SbsLineRecord(t, _sbs_line(A, 1.0)),
+    "truth": lambda t: TruthBatchRecord(t, [_report(A)]),
+    "observation": lambda t: ObservationRecord(
+        t, _obs(0, 40.0, 60.0, True, -40.0)
+    ),
+    "ghost": lambda t: GhostRecord(t, C, 2),
+    "heartbeat": HeartbeatRecord,
+}
+
+
+class TestNonFiniteTimestamps:
+    """A NaN or infinite ``time_s`` must neither hang the drain nor
+    unbound the window: the session quarantines the record."""
+
+    N_WINDOWS = 20
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_RECORDS))
+    @pytest.mark.parametrize("bad_s", _BAD_TIMES, ids=repr)
+    def test_record_is_quarantined_not_consumed(self, kind, bad_s):
+        gateway = StreamGateway(positions={"n": RECEIVER})
+        records = [_BAD_RECORDS[kind](bad_s)]
+        records += [
+            ObservationRecord(
+                30.0 * k + 1.0, _obs(k, 40.0, 60.0, True, -40.0)
+            )
+            for k in range(self.N_WINDOWS)
+        ]
+        end_s = 30.0 * self.N_WINDOWS
+        records.append(HeartbeatRecord(end_s))
+        for record in records:
+            assert gateway.publish("n", record).accepted
+        drain = threading.Thread(
+            target=gateway.drain_node, args=("n",), daemon=True
+        )
+        drain.start()
+        drain.join(timeout=10.0)
+        assert not drain.is_alive(), "drain never finished"
+
+        session = gateway.sessions["n"]
+        engine = session.engine
+        assert engine.now_s == end_s
+        assert [s.evidence for s in engine.summaries] == [
+            1
+        ] * self.N_WINDOWS
+        assert len(engine.window) == 1
+        assert session.last_seen_s == end_s
+        assert session.counters.records == len(records)
+        assert session.counters.bad_timestamps == 1
+        assert session.counters.as_dict()["bad_timestamps"] == 1
+        assert len(session.quarantine) == 1
+        _, what, error = session.quarantine[0]
+        assert what == type(records[0]).__name__
+        assert "non-finite" in error
+        assert gateway.evict_idle(now_s=end_s + 121.0) == ["n"]
+
+    def test_clean_stream_reports_no_fault_counter(self):
+        session = NodeSession("n")
+        session.handle(HeartbeatRecord(1.0))
+        assert "bad_timestamps" not in session.counters.as_dict()
+
+
+def _sbs_lines():
+    """Well-formed SBS lines for a few aircraft, every message kind."""
+    icao = st.sampled_from([A, B, C])
+    time_s = st.floats(0.0, 29.0)
+    return st.one_of(
+        st.builds(
+            lambda i, t: to_sbs(
+                DecodedMessage(time_s=t, icao=i, kind="acquisition")
+            ),
+            icao,
+            time_s,
+        ),
+        st.builds(
+            lambda i, t, cs: to_sbs(
+                DecodedMessage(
+                    time_s=t, icao=i, kind="identification", callsign=cs
+                )
+            ),
+            icao,
+            time_s,
+            st.sampled_from(["UAL123", "N42", ""]),
+        ),
+        st.builds(
+            lambda i, t, lat, lon: to_sbs(
+                DecodedMessage(
+                    time_s=t,
+                    icao=i,
+                    kind="position",
+                    position=GeoPoint(lat, lon, 9000.0),
+                )
+            ),
+            icao,
+            time_s,
+            st.floats(36.0, 39.0),
+            st.floats(-123.0, -121.0),
+        ),
+        st.builds(
+            lambda i, t, e, n: to_sbs(
+                DecodedMessage(
+                    time_s=t, icao=i, kind="velocity", velocity_kt=(e, n)
+                )
+            ),
+            icao,
+            time_s,
+            st.floats(-400.0, 400.0),
+            st.floats(-400.0, 400.0),
+        ),
+    )
+
+
+#: What a lossy reader hands the session: intact lines, lines cut at a
+#: random point, two lines spliced where a newline was lost, blanks.
+_damaged_lines = st.one_of(
+    _sbs_lines(),
+    st.builds(
+        lambda line, frac: line[: int(len(line) * frac)],
+        _sbs_lines(),
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(
+        lambda a, b, frac: a[: int(len(a) * frac)] + b,
+        _sbs_lines(),
+        _sbs_lines(),
+        st.floats(0.0, 1.0),
+    ),
+    st.sampled_from(["", "   ", "\t", "\r"]),
+)
+
+
+def _disposition(line: str) -> str:
+    stripped = line.strip()
+    if not stripped:
+        return "blank"
+    try:
+        parse_sbs(stripped)
+    except ValueError:
+        return "malformed"
+    return "parsed"
+
+
+class TestSbsIngestEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_damaged_lines, max_size=40), st.integers(1, 8))
+    def test_damaged_lines_degrade_only_themselves(self, lines, cap):
+        session = NodeSession(
+            "n", receiver_position=RECEIVER, quarantine_cap=cap
+        )
+        for i, line in enumerate(lines):
+            session.handle(SbsLineRecord(i * 0.5, line))
+            assert len(session.quarantine) <= cap
+        dispositions = Counter(_disposition(line) for line in lines)
+        counters = session.counters
+        assert counters.records == len(lines)
+        assert counters.sbs_lines == dispositions["parsed"]
+        assert counters.malformed_lines == dispositions["malformed"]
+        assert counters.blank_lines == dispositions["blank"]
+        assert len(session.quarantine) == min(cap, counters.malformed_lines)
+
+        # No truth arrives, so every tallied ICAO turns ghost at the
+        # close: exactly the ICAOs, and messages, parse_sbs accepted.
+        accepted = [
+            parse_sbs(line.strip())
+            for line in lines
+            if _disposition(line) == "parsed"
+        ]
+        session.handle(HeartbeatRecord(30.0))
+        scan = session.engine.snapshot().report.scan
+        assert scan.ghost_icaos == sorted({r.icao for r in accepted})
+        assert scan.decoded_message_count == len(accepted)

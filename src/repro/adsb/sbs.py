@@ -119,7 +119,7 @@ def parse_sbs(line: str) -> SbsRecord:
     kind = _KIND_BY_TT.get(tt)
     if kind is None:
         raise ValueError(f"unsupported transmission type: {tt}")
-    icao = IcaoAddress.from_hex(parts[4])
+    icao = IcaoAddress(int(parts[4], 16))
     callsign = parts[10] or None
     position = None
     if parts[14] and parts[15]:

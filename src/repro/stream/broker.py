@@ -48,7 +48,7 @@ class PutResult(enum.Enum):
     @property
     def accepted(self) -> bool:
         """Whether the published record made it into the queue."""
-        return self in (PutResult.OK, PutResult.DROPPED_OLDEST)
+        return self is PutResult.OK or self is PutResult.DROPPED_OLDEST
 
 
 @dataclass
@@ -74,7 +74,15 @@ class QueueStats:
 
 
 class BoundedQueue:
-    """One node's bounded FIFO with a configurable overflow policy."""
+    """One node's bounded FIFO with a configurable overflow policy.
+
+    Getters (``get`` on an empty queue) and ``BLOCK`` putters (``put``
+    on a full one) register as waiters under the queue lock before
+    they wait, and a put or get signals its condition only while a
+    waiter is registered. A consumer that only ever drains, and a
+    producer that never fills the queue, therefore pay no wake-up
+    cost per record. ``drain`` always wakes every blocked putter.
+    """
 
     def __init__(
         self,
@@ -90,6 +98,10 @@ class BoundedQueue:
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
+        # Threads waiting on each condition; read and written under
+        # ``_lock`` only, so a signaller never misses a waiter.
+        self._getters = 0
+        self._putters = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -117,10 +129,15 @@ class BoundedQueue:
                     self._append(record)
                     return PutResult.DROPPED_OLDEST
                 # BLOCK: wait for a consumer to make room.
-                if not self._not_full.wait_for(
-                    lambda: len(self._items) < self.capacity,
-                    timeout=timeout_s,
-                ):
+                self._putters += 1
+                try:
+                    has_room = self._not_full.wait_for(
+                        lambda: len(self._items) < self.capacity,
+                        timeout=timeout_s,
+                    )
+                finally:
+                    self._putters -= 1
+                if not has_room:
                     self.stats.timeouts += 1
                     return PutResult.TIMEOUT
             self._append(record)
@@ -128,12 +145,14 @@ class BoundedQueue:
 
     def _append(self, record: StreamRecord) -> None:
         """Append under the held lock and update counters/waiters."""
-        self._items.append(record)
-        self.stats.enqueued += 1
-        self.stats.high_watermark = max(
-            self.stats.high_watermark, len(self._items)
-        )
-        self._not_empty.notify()
+        items = self._items
+        items.append(record)
+        stats = self.stats
+        stats.enqueued += 1
+        if len(items) > stats.high_watermark:
+            stats.high_watermark = len(items)
+        if self._getters:
+            self._not_empty.notify()
 
     def get(self, timeout_s: Optional[float] = None) -> Optional[StreamRecord]:
         """Pop the oldest record, waiting up to ``timeout_s``.
@@ -143,14 +162,19 @@ class BoundedQueue:
         """
         with self._lock:
             if not self._items and timeout_s != 0:
-                self._not_empty.wait_for(
-                    lambda: bool(self._items), timeout=timeout_s
-                )
+                self._getters += 1
+                try:
+                    self._not_empty.wait_for(
+                        lambda: bool(self._items), timeout=timeout_s
+                    )
+                finally:
+                    self._getters -= 1
             if not self._items:
                 return None
             record = self._items.popleft()
             self.stats.consumed += 1
-            self._not_full.notify()
+            if self._putters:
+                self._not_full.notify()
             return record
 
     def drain(self) -> List[StreamRecord]:
@@ -161,6 +185,23 @@ class BoundedQueue:
             self.stats.consumed += len(items)
             self._not_full.notify_all()
             return items
+
+    def requeue(self, records: List[StreamRecord]) -> None:
+        """Put drained but unconsumed records back at the head, in order.
+
+        They go ahead of anything published since the drain and are
+        no longer counted as consumed. They were admitted once, so
+        they bypass the capacity check and the overflow policy.
+        """
+        if not records:
+            return
+        with self._lock:
+            self._items.extendleft(reversed(records))
+            self.stats.consumed -= len(records)
+            if len(self._items) > self.stats.high_watermark:
+                self.stats.high_watermark = len(self._items)
+            if self._getters:
+                self._not_empty.notify_all()
 
 
 class StreamBroker:
@@ -189,7 +230,14 @@ class StreamBroker:
         self._lock = threading.Lock()
 
     def queue_for(self, node_id: str) -> BoundedQueue:
-        """The node's queue, created on first use."""
+        """The node's queue, created on first use.
+
+        Queues are never removed, so an existing one is read without
+        the lock; only creation is serialised.
+        """
+        queue = self._queues.get(node_id)
+        if queue is not None:
+            return queue
         with self._lock:
             queue = self._queues.get(node_id)
             if queue is None:
@@ -205,14 +253,16 @@ class StreamBroker:
     ) -> PutResult:
         """Publish one record to a node's queue."""
         result = self.queue_for(node_id).put(record, timeout_s=timeout_s)
-        if result is PutResult.DROPPED_OLDEST:
+        # The common outcome first: each enum member lookup costs.
+        if result is PutResult.OK:
+            self.metrics.incr("broker_enqueued")
+        elif result is PutResult.DROPPED_OLDEST:
             self.metrics.incr("broker_dropped_oldest")
+            self.metrics.incr("broker_enqueued")
         elif result is PutResult.REJECTED:
             self.metrics.incr("broker_rejected")
-        elif result is PutResult.TIMEOUT:
+        else:
             self.metrics.incr("broker_put_timeouts")
-        if result.accepted:
-            self.metrics.incr("broker_enqueued")
         return result
 
     def node_ids(self) -> List[str]:

@@ -119,7 +119,13 @@ class StreamGateway:
             return session
 
     def drain_node(self, node_id: str) -> int:
-        """Consume everything queued for one node; returns the count."""
+        """Consume everything queued for one node; returns the count.
+
+        If a record raises, the records drained after it go back to
+        the head of the node's queue, in order, and the error
+        propagates. The raising record and those before it count as
+        consumed; the requeued ones do not.
+        """
         started = time.perf_counter()
         session = self.session_for(node_id)
         with self._lock:
@@ -128,17 +134,30 @@ class StreamGateway:
             # Evicted between session_for and here; the fresh call
             # re-created the maps, so retry once.
             return self.drain_node(node_id)
-        consumed = 0
+        handle = session.handle
         with drain_lock:
-            for record in self.broker.queue_for(node_id).drain():
-                session.handle(record)
-                consumed += 1
+            queue = self.broker.queue_for(node_id)
+            records = queue.drain()
+            pending = iter(records)
+            try:
+                for record in pending:
+                    handle(record)
+            except BaseException:
+                unhandled = list(pending)
+                queue.requeue(unhandled)
+                self._count_consumed(
+                    len(records) - len(unhandled), started
+                )
+                raise
+        self._count_consumed(len(records), started)
+        return len(records)
+
+    def _count_consumed(self, consumed: int, started: float) -> None:
         if consumed:
             self.metrics.incr("stream_records_consumed", consumed)
             self.metrics.observe(
                 "stream_drain", time.perf_counter() - started
             )
-        return consumed
 
     def drain(self) -> int:
         """Consume every queued record across all nodes."""

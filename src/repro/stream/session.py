@@ -19,6 +19,9 @@ and knows how to turn raw stream records into engine updates:
 - **Non-finite timestamps** (NaN, ±inf) are quarantined before they
   reach the clock: an infinite time would close windows forever, and
   a NaN one would never be evicted.
+- **Late records**, stamped before the open window's start, are
+  quarantined too: their window has already closed, and folding them
+  into the open one would count them in the wrong window.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.adsb.icao import IcaoAddress
 from repro.adsb.sbs import parse_sbs
@@ -52,6 +55,7 @@ DEFAULT_QUARANTINE_CAP = 64
 class _LiveTally:
     """Per-window decoded-message state for one ICAO (live join)."""
 
+    icao: IcaoAddress
     n_messages: int = 0
     last_time_s: float = 0.0
     matched: bool = False
@@ -70,6 +74,7 @@ class SessionCounters:
     ghosts: int = 0
     heartbeats: int = 0
     bad_timestamps: int = 0
+    late_records: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         counts = {
@@ -82,10 +87,12 @@ class SessionCounters:
             "ghosts": self.ghosts,
             "heartbeats": self.heartbeats,
         }
-        # A fault counter: listed once it has counted something, so a
-        # clean stream's counters read as they always have.
+        # Fault counters: listed once they have counted something, so
+        # a clean stream's counters read as they always have.
         if self.bad_timestamps:
             counts["bad_timestamps"] = self.bad_timestamps
+        if self.late_records:
+            counts["late_records"] = self.late_records
         return counts
 
 
@@ -98,8 +105,8 @@ class NodeSession:
             join live SBS traffic against truth batches; replay
             records arrive pre-joined and do not need it.
         quarantine: the most recent malformed lines, and records with
-            a non-finite timestamp, as ``(time_s, line or record type,
-            error)`` tuples, capped.
+            a non-finite or late timestamp, as ``(time_s, line or
+            record type, error)`` tuples, capped.
     """
 
     def __init__(
@@ -119,48 +126,72 @@ class NodeSession:
             maxlen=max(1, quarantine_cap)
         )
         self.last_seen_s = 0.0
-        self._tallies: Dict[IcaoAddress, _LiveTally] = {}
+        # Keyed by ``IcaoAddress.value``: a plain int hashes and
+        # compares in C, and sorts in the same order as the address.
+        self._tallies: Dict[int, _LiveTally] = {}
+        # Exact record type -> handler, in the order subclasses are
+        # matched (a record type's subclass dispatches as its base).
+        self._handlers: Dict[type, Callable[..., None]] = {
+            SbsLineRecord: self._handle_sbs,
+            TruthBatchRecord: self._handle_truth,
+            ObservationRecord: self._handle_observation,
+            GhostRecord: self._handle_ghost,
+            HeartbeatRecord: self._handle_heartbeat,
+        }
 
     def handle(self, record: StreamRecord) -> None:
-        """Consume one record; malformed input never raises."""
-        if not isinstance(
-            record,
-            (
-                SbsLineRecord,
-                TruthBatchRecord,
-                ObservationRecord,
-                GhostRecord,
-                HeartbeatRecord,
-            ),
-        ):
-            raise TypeError(f"unknown stream record: {type(record)!r}")
-        self.counters.records += 1
-        if not math.isfinite(record.time_s):
-            self.counters.bad_timestamps += 1
-            self.quarantine.append(
-                (
-                    record.time_s,
-                    type(record).__name__,
-                    f"non-finite timestamp {record.time_s!r}",
-                )
+        """Consume one record; malformed input never raises.
+
+        Dispatch is on the record's exact type, falling back to an
+        ``isinstance`` match for subclasses of the record types. A
+        non-record raises ``TypeError`` before any counter moves.
+        Every record is counted in ``counters.records``; one stamped
+        NaN or infinite, or before the open window's start, is then
+        quarantined and never reaches the engine or the liveness
+        clock.
+        """
+        handler = self._handlers.get(type(record))
+        if handler is None:
+            handler = self._subclass_handler(record)
+        counters = self.counters
+        counters.records += 1
+        time_s = record.time_s
+        if not math.isfinite(time_s):
+            counters.bad_timestamps += 1
+            self._quarantine(record, f"non-finite timestamp {time_s!r}")
+            return
+        engine = self.engine
+        window_start_s = engine.window_index * engine.config.window_s
+        if time_s < window_start_s:
+            counters.late_records += 1
+            self._quarantine(
+                record, f"late record: window opened at {window_start_s!r}"
             )
             return
-        self.last_seen_s = max(self.last_seen_s, record.time_s)
-        if isinstance(record, SbsLineRecord):
-            self._handle_sbs(record)
-        elif isinstance(record, TruthBatchRecord):
-            self._handle_truth(record)
-        elif isinstance(record, ObservationRecord):
-            self.counters.observations += 1
-            self.engine.add_observation(record.time_s, record.observation)
-        elif isinstance(record, GhostRecord):
-            self.counters.ghosts += 1
-            self.engine.add_ghost(
-                record.time_s, record.icao, record.n_messages
-            )
-        else:
-            self.counters.heartbeats += 1
-            self.engine.advance(record.time_s)
+        if time_s > self.last_seen_s:
+            self.last_seen_s = time_s
+        handler(record)
+
+    def _quarantine(self, record: StreamRecord, error: str) -> None:
+        self.quarantine.append((record.time_s, type(record).__name__, error))
+
+    def _subclass_handler(self, record: object) -> Callable[..., None]:
+        for record_type, handler in self._handlers.items():
+            if isinstance(record, record_type):
+                return handler
+        raise TypeError(f"unknown stream record: {type(record)!r}")
+
+    def _handle_observation(self, record: ObservationRecord) -> None:
+        self.counters.observations += 1
+        self.engine.add_observation(record.time_s, record.observation)
+
+    def _handle_ghost(self, record: GhostRecord) -> None:
+        self.counters.ghosts += 1
+        self.engine.add_ghost(record.time_s, record.icao, record.n_messages)
+
+    def _handle_heartbeat(self, record: HeartbeatRecord) -> None:
+        self.counters.heartbeats += 1
+        self.engine.advance(record.time_s)
 
     # ------------------------------------------------------------------
     # live SBS path
@@ -180,7 +211,10 @@ class NodeSession:
             return
         self.counters.sbs_lines += 1
         self.engine.advance(record.time_s)
-        tally = self._tallies.setdefault(parsed.icao, _LiveTally())
+        key = parsed.icao.value
+        tally = self._tallies.get(key)
+        if tally is None:
+            tally = self._tallies[key] = _LiveTally(parsed.icao)
         tally.n_messages += 1
         tally.last_time_s = record.time_s
 
@@ -195,7 +229,7 @@ class NodeSession:
         for report in record.reports:
             self.counters.truth_reports += 1
             geom = ray_geometry(self.receiver_position, report.position)
-            tally = self._tallies.get(report.icao)
+            tally = self._tallies.get(report.icao.value)
             received = tally is not None and tally.n_messages > 0
             if tally is not None:
                 tally.matched = True
@@ -221,12 +255,12 @@ class NodeSession:
         if not self._tallies:
             return
         ghost_time = self.engine.ghost_time_for_boundary(boundary_s)
-        for icao in sorted(self._tallies):
-            tally = self._tallies[icao]
+        for key in sorted(self._tallies):
+            tally = self._tallies[key]
             if not tally.matched:
                 self.counters.ghosts += 1
                 self.engine.window.add_ghost(
-                    ghost_time, icao, tally.n_messages
+                    ghost_time, tally.icao, tally.n_messages
                 )
         self._tallies.clear()
 

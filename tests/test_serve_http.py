@@ -2,8 +2,11 @@
 
 import asyncio
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.app import SpectrumApp
 from repro.serve.http import (
@@ -169,6 +172,134 @@ class TestReadRequest:
         )
         with pytest.raises(BadRequest):
             self.read(b"GET / HTTP/1.1\r\n" + headers + b"\r\n")
+
+
+def _read_chunks(chunks):
+    """Feed ``chunks`` one at a time while ``read_request`` waits."""
+
+    async def _run():
+        reader = asyncio.StreamReader()
+        task = asyncio.ensure_future(read_request(reader))
+        for chunk in chunks:
+            await asyncio.sleep(0)
+            reader.feed_data(chunk)
+        reader.feed_eof()
+        return await task
+
+    return asyncio.run(_run())
+
+
+_ASCII = st.text(alphabet=st.characters(max_codepoint=127), max_size=60)
+_TOKEN = st.text(
+    alphabet=string.ascii_letters + string.digits + "-_.~%",
+    min_size=1,
+    max_size=12,
+)
+_VALUE = st.text(
+    alphabet=string.ascii_letters + string.digits + " -_.,;=/\"*:",
+    max_size=20,
+)
+
+
+#: Request-line-shaped bytes: arbitrary, ASCII, or near-valid.
+_LINES = st.one_of(
+    st.binary(max_size=80),
+    _ASCII.map(str.encode),
+    st.builds(
+        lambda method, target, version, sep: sep.join(
+            [method, target, version]
+        ).encode(),
+        st.sampled_from(["GET", "get", "HEAD", "", "G\x00T"]),
+        _ASCII,
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", "http/1.1", ""]),
+        st.sampled_from([" ", "  ", "\t", ""]),
+    ),
+)
+
+
+@st.composite
+def _valid_requests(draw):
+    """A well-formed request head, as raw bytes."""
+    method = draw(st.sampled_from(["GET", "get", "HEAD", "POST"]))
+    path = "/" + "/".join(draw(st.lists(_TOKEN, max_size=4)))
+    query = draw(st.lists(st.tuples(_TOKEN, _VALUE), max_size=3))
+    if query:
+        path += "?" + "&".join(f"{k}={v}" for k, v in query)
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    head = f"{method} {path.replace(' ', '+')} HTTP/1.1{eol}"
+    for name, value in draw(st.lists(st.tuples(_TOKEN, _VALUE), max_size=6)):
+        head += f"{name}: {value}{eol}"
+    return (head + eol).encode("ascii")
+
+
+class TestParserFuzz:
+    """The parser faces the public internet: garbage in, BadRequest out."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        request_line=_LINES,
+        header_lines=st.lists(
+            st.one_of(st.binary(max_size=40), _ASCII.map(str.encode)),
+            max_size=6,
+        ),
+    )
+    def test_arbitrary_bytes_raise_only_bad_request(
+        self, request_line, header_lines
+    ):
+        try:
+            request = parse_request(request_line, header_lines)
+        except BadRequest:
+            return
+        assert isinstance(request, Request)
+        assert request.method == request.method.upper()
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=_valid_requests(), cuts=st.lists(st.integers(0, 1 << 16)))
+    def test_chunking_does_not_change_the_request(self, raw, cuts):
+        whole = _read_chunks([raw])
+        assert isinstance(whole, Request)
+        bounds = sorted({cut % (len(raw) + 1) for cut in cuts})
+        starts = [0] + bounds
+        ends = bounds + [len(raw)]
+        chunks = [raw[a:b] for a, b in zip(starts, ends)]
+        assert _read_chunks(chunks) == whole
+
+    @staticmethod
+    def _request_line(length: int) -> bytes:
+        """``GET /xxx HTTP/1.1\r\n`` of exactly ``length`` bytes."""
+        frame = len(b"GET / HTTP/1.1\r\n")
+        return b"GET /" + b"x" * (length - frame) + b" HTTP/1.1\r\n"
+
+    def test_request_line_limit_is_exact(self):
+        line = self._request_line(MAX_REQUEST_LINE)
+        assert len(line) == MAX_REQUEST_LINE
+        request = _read_chunks([line + b"\r\n"])
+        assert request.path == "/" + "x" * (MAX_REQUEST_LINE - 16)
+        with pytest.raises(BadRequest, match="request line too long"):
+            _read_chunks([self._request_line(MAX_REQUEST_LINE + 1)])
+
+    def test_header_line_limit_is_exact(self):
+        def header(length: int) -> bytes:
+            return b"X: " + b"v" * (length - 5) + b"\r\n"
+
+        line = b"GET / HTTP/1.1\r\n"
+        request = _read_chunks([line + header(MAX_REQUEST_LINE) + b"\r\n"])
+        assert len(request.header("x")) == MAX_REQUEST_LINE - 5
+        with pytest.raises(BadRequest, match="header line too long"):
+            _read_chunks(
+                [line + header(MAX_REQUEST_LINE + 1) + b"\r\n"]
+            )
+
+    def test_header_count_limit_is_exact(self):
+        def head(n: int) -> bytes:
+            return b"GET / HTTP/1.1\r\n" + b"".join(
+                b"H%d: v\r\n" % i for i in range(n)
+            ) + b"\r\n"
+
+        request = _read_chunks([head(MAX_HEADER_LINES)])
+        assert len(request.headers) == MAX_HEADER_LINES
+        with pytest.raises(BadRequest, match="too many headers"):
+            _read_chunks([head(MAX_HEADER_LINES + 1)])
 
 
 def _request_over_socket(host, port, raw):

@@ -1,6 +1,7 @@
 """Tests for the bounded stream broker and its overflow policies."""
 
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,30 @@ from repro.stream import (
 
 def _hb(t: float = 0.0) -> HeartbeatRecord:
     return HeartbeatRecord(time_s=t)
+
+
+#: How long a woken thread may take to finish. Its own wait is far
+#: longer, so a missed wake-up fails the join instead of the wait
+#: timing out into a pass.
+JOIN_S = 2.0
+WAIT_S = 10.0
+
+
+def _until_waiting(count) -> None:
+    """Give a thread time to register as a waiter (best effort)."""
+    deadline = time.monotonic() + JOIN_S
+    while count() < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _in_thread(call):
+    """Run ``call`` in a daemon thread; returns (thread, results)."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(call()), daemon=True
+    )
+    thread.start()
+    return thread, results
 
 
 class TestBoundedQueue:
@@ -103,6 +128,76 @@ class TestBoundedQueue:
         assert stats["enqueued"] == 1
         assert stats["rejected"] == 1
         assert stats["dropped_oldest"] == 0
+
+
+class TestWakeUps:
+    """Puts and gets signal a waiter only when one is registered.
+
+    Each test parks a thread in a wait, then checks that the matching
+    operation wakes it well before its own timeout.
+    """
+
+    def _blocked_put(self, queue: BoundedQueue):
+        queue.put(_hb(1.0))
+        thread, results = _in_thread(
+            lambda: queue.put(_hb(2.0), timeout_s=WAIT_S)
+        )
+        _until_waiting(lambda: queue._putters)
+        return thread, results
+
+    def test_blocked_put_is_woken_by_get(self):
+        queue = BoundedQueue(capacity=1, policy=OverflowPolicy.BLOCK)
+        thread, results = self._blocked_put(queue)
+        assert queue.get(timeout_s=0).time_s == 1.0
+        thread.join(timeout=JOIN_S)
+        assert not thread.is_alive(), "get() did not wake the putter"
+        assert results == [PutResult.OK]
+        assert [r.time_s for r in queue.drain()] == [2.0]
+        assert queue._putters == 0
+
+    def test_blocked_put_is_woken_by_drain(self):
+        queue = BoundedQueue(capacity=1, policy=OverflowPolicy.BLOCK)
+        thread, results = self._blocked_put(queue)
+        assert [r.time_s for r in queue.drain()] == [1.0]
+        thread.join(timeout=JOIN_S)
+        assert not thread.is_alive(), "drain() did not wake the putter"
+        assert results == [PutResult.OK]
+        assert [r.time_s for r in queue.drain()] == [2.0]
+
+    def test_waiting_get_is_woken_by_put(self):
+        queue = BoundedQueue(capacity=4)
+        thread, results = _in_thread(
+            lambda: queue.get(timeout_s=WAIT_S)
+        )
+        _until_waiting(lambda: queue._getters)
+        assert queue.put(_hb(7.0)) is PutResult.OK
+        thread.join(timeout=JOIN_S)
+        assert not thread.is_alive(), "put() did not wake the getter"
+        assert [r.time_s for r in results] == [7.0]
+        assert queue._getters == 0
+        assert queue.stats.consumed == 1
+
+    def test_timed_out_waiters_deregister(self):
+        queue = BoundedQueue(capacity=1, policy=OverflowPolicy.BLOCK)
+        assert queue.get(timeout_s=0.01) is None
+        queue.put(_hb(1.0))
+        assert queue.put(_hb(2.0), timeout_s=0.01) is PutResult.TIMEOUT
+        assert (queue._getters, queue._putters) == (0, 0)
+
+
+class TestRequeue:
+    def test_requeued_records_go_back_to_the_head_in_order(self):
+        queue = BoundedQueue(capacity=2)
+        queue.put(_hb(1.0))
+        queue.put(_hb(2.0))
+        drained = queue.drain()
+        queue.put(_hb(3.0))
+        queue.requeue(drained)
+        assert queue.stats.consumed == 0
+        assert queue.stats.high_watermark == 3
+        assert [r.time_s for r in queue.drain()] == [1.0, 2.0, 3.0]
+        assert queue.stats.as_dict()["consumed"] == 3
+        assert queue.stats.enqueued == 3
 
 
 class TestStreamBroker:

@@ -22,6 +22,7 @@ from repro.stream import (
     NodeSession,
     ObservationRecord,
     SbsLineRecord,
+    SessionCounters,
     StreamGateway,
     TruthBatchRecord,
 )
@@ -52,6 +53,18 @@ def _report(icao: IcaoAddress, lat_deg: float = 38.2) -> FlightReport:
         ground_speed_ms=220.0,
         track_deg=90.0,
     )
+
+
+#: One record of each type, stamped at the given time.
+_RECORDS_AT = {
+    "sbs": lambda t: SbsLineRecord(t, _sbs_line(A, 1.0)),
+    "truth": lambda t: TruthBatchRecord(t, [_report(A)]),
+    "observation": lambda t: ObservationRecord(
+        t, _obs(0, 40.0, 60.0, True, -40.0)
+    ),
+    "ghost": lambda t: GhostRecord(t, C, 2),
+    "heartbeat": HeartbeatRecord,
+}
 
 
 class TestSbsPath:
@@ -140,6 +153,42 @@ class TestSessionLifecycle:
         session = NodeSession("n")
         with pytest.raises(TypeError):
             session.handle(object())
+
+    def test_non_record_moves_no_counter(self):
+        class LooksLikeHeartbeat:
+            time_s = 5.0
+
+        session = NodeSession("n")
+        for bogus in (object(), LooksLikeHeartbeat(), None):
+            with pytest.raises(TypeError, match="unknown stream record"):
+                session.handle(bogus)
+        assert session.counters.as_dict() == SessionCounters().as_dict()
+        assert session.last_seen_s == 0.0
+
+
+class TestDispatch:
+    """Handlers are looked up by exact type; a subclass of a record
+    type is matched by ``isinstance`` and handled as its base."""
+
+    @pytest.mark.parametrize("kind", sorted(_RECORDS_AT))
+    def test_subclass_dispatches_as_its_base(self, kind):
+        record = _RECORDS_AT[kind](5.0)
+        subclass = type(f"Custom{type(record).__name__}", (type(record),), {})
+        custom = subclass(**vars(record))
+
+        def consume(rec):
+            session = NodeSession("n", receiver_position=RECEIVER)
+            session.handle(rec)
+            session.handle(HeartbeatRecord(30.0))
+            return session
+
+        base, derived = consume(record), consume(custom)
+        assert derived.counters.as_dict() == base.counters.as_dict()
+        assert derived.counters.records == 2
+        assert len(derived.engine.window) == len(base.engine.window)
+        assert [s.evidence for s in derived.engine.summaries] == [
+            s.evidence for s in base.engine.summaries
+        ]
 
 
 class TestReplayClock:
@@ -246,6 +295,43 @@ class TestStreamGateway:
             gateway.metrics.summary()["stream_sessions_evicted"] == 1
         )
 
+    def _failing_drain(self):
+        """No positions, so the truth batch raises mid-drain."""
+        gateway = self._gateway()
+        for record in (
+            HeartbeatRecord(1.0),
+            TruthBatchRecord(2.0, []),
+            HeartbeatRecord(3.0),
+            HeartbeatRecord(4.0),
+        ):
+            gateway.publish("n", record)
+        with pytest.raises(ValueError, match="receiver position"):
+            gateway.drain_node("n")
+        return gateway
+
+    def test_raising_record_requeues_the_rest_of_its_drain(self):
+        gateway = self._failing_drain()
+        assert gateway.sessions["n"].counters.records == 2
+        assert gateway.broker.stats()["n"]["consumed"] == 2
+        assert gateway.broker.total_dropped() == 0
+        summary = gateway.metrics.summary()
+        assert summary["stream_records_consumed"] == 2
+        # The tail sits ahead of anything published since.
+        gateway.publish("n", HeartbeatRecord(5.0))
+        queue = gateway.broker.queue_for("n")
+        assert [r.time_s for r in queue.drain()] == [3.0, 4.0, 5.0]
+
+    def test_next_drain_consumes_the_requeued_tail(self):
+        gateway = self._failing_drain()
+        assert gateway.drain_node("n") == 2
+        session = gateway.sessions["n"]
+        assert session.counters.records == 4
+        assert session.counters.heartbeats == 3
+        assert session.last_seen_s == 4.0
+        assert gateway.broker.stats()["n"]["consumed"] == 4
+        assert gateway.broker.depth("n") == 0
+        assert gateway.metrics.summary()["stream_records_consumed"] == 4
+
     def test_sessions_use_claimed_positions(self):
         gateway = StreamGateway(positions={"n": RECEIVER})
         gateway.publish("n", SbsLineRecord(5.0, _sbs_line(A, 5.0)))
@@ -266,15 +352,6 @@ class TestStreamGateway:
 
 
 _BAD_TIMES = [math.nan, math.inf, -math.inf]
-_BAD_RECORDS = {
-    "sbs": lambda t: SbsLineRecord(t, _sbs_line(A, 1.0)),
-    "truth": lambda t: TruthBatchRecord(t, [_report(A)]),
-    "observation": lambda t: ObservationRecord(
-        t, _obs(0, 40.0, 60.0, True, -40.0)
-    ),
-    "ghost": lambda t: GhostRecord(t, C, 2),
-    "heartbeat": HeartbeatRecord,
-}
 
 
 class TestNonFiniteTimestamps:
@@ -283,11 +360,11 @@ class TestNonFiniteTimestamps:
 
     N_WINDOWS = 20
 
-    @pytest.mark.parametrize("kind", sorted(_BAD_RECORDS))
+    @pytest.mark.parametrize("kind", sorted(_RECORDS_AT))
     @pytest.mark.parametrize("bad_s", _BAD_TIMES, ids=repr)
     def test_record_is_quarantined_not_consumed(self, kind, bad_s):
         gateway = StreamGateway(positions={"n": RECEIVER})
-        records = [_BAD_RECORDS[kind](bad_s)]
+        records = [_RECORDS_AT[kind](bad_s)]
         records += [
             ObservationRecord(
                 30.0 * k + 1.0, _obs(k, 40.0, 60.0, True, -40.0)
@@ -326,6 +403,62 @@ class TestNonFiniteTimestamps:
         session = NodeSession("n")
         session.handle(HeartbeatRecord(1.0))
         assert "bad_timestamps" not in session.counters.as_dict()
+        assert "late_records" not in session.counters.as_dict()
+
+
+class TestLateRecords:
+    """A record stamped before the open window's start belongs to a
+    window that has already closed. Folding it into the open one would
+    count it in the wrong window (stream != batch), so the session
+    quarantines it."""
+
+    @pytest.mark.parametrize("kind", sorted(_RECORDS_AT))
+    def test_record_before_open_window_is_quarantined(self, kind):
+        session = NodeSession("n", receiver_position=RECEIVER)
+        session.handle(
+            ObservationRecord(100.0, _obs(0, 40.0, 60.0, True, -40.0))
+        )
+        engine = session.engine
+        assert engine.window_index * engine.config.window_s == 90.0
+        before = session.counters.as_dict()
+        late = _RECORDS_AT[kind](50.0)
+        session.handle(late)
+        session.handle(HeartbeatRecord(120.0))
+
+        # Only the late record's arrival and the heartbeat counted.
+        assert session.counters.as_dict() == dict(
+            before,
+            records=before["records"] + 2,
+            heartbeats=before["heartbeats"] + 1,
+            late_records=1,
+        )
+        # The close at 120 holds exactly the window [90, 120).
+        assert engine.summaries[-1].end_s == 120.0
+        assert engine.summaries[-1].evidence == 1
+        assert len(engine.window) == 1
+        assert session.last_seen_s == 120.0
+        time_s, what, error = session.quarantine[-1]
+        assert (time_s, what) == (50.0, type(late).__name__)
+        assert "late record" in error
+
+    @pytest.mark.parametrize("kind", sorted(_RECORDS_AT))
+    def test_record_at_window_start_is_not_late(self, kind):
+        session = NodeSession("n", receiver_position=RECEIVER)
+        session.handle(HeartbeatRecord(90.0))
+        session.handle(_RECORDS_AT[kind](90.0))
+        assert session.counters.late_records == 0
+        assert "late_records" not in session.counters.as_dict()
+        assert not session.quarantine
+
+    def test_out_of_order_within_the_open_window_is_kept(self):
+        session = NodeSession("n")
+        for t in (100.0, 95.0):
+            session.handle(
+                ObservationRecord(t, _obs(int(t), 40.0, 60.0, True, -40.0))
+            )
+        session.handle(HeartbeatRecord(120.0))
+        assert session.counters.late_records == 0
+        assert session.engine.summaries[-1].evidence == 2
 
 
 def _sbs_lines():

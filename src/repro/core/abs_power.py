@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.fov import FieldOfViewEstimate
 from repro.core.frequency import FrequencyProfile
-from repro.environment.links import ray_geometry
+from repro.environment.links import RayGeometry, ray_geometry
 from repro.fm.tower import FmTower
 from repro.node.sensor import SensorNode
 from repro.rf.pathloss import free_space_path_loss_db
@@ -94,9 +94,8 @@ class AbsolutePowerCalibrator:
             raise ValueError(f"quantile must be in [0,1]: {self.quantile}")
 
     def _predicted_dbm(
-        self, node: SensorNode, position, erp_dbm: float, freq_hz: float
+        self, geom: RayGeometry, erp_dbm: float, freq_hz: float
     ) -> float:
-        geom = ray_geometry(node.position, position)
         path = free_space_path_loss_db(geom.slant_m, freq_hz)
         gain = self.reference_antenna.gain_at(
             freq_hz, geom.azimuth_deg
@@ -131,13 +130,10 @@ class AbsolutePowerCalibrator:
             tower = towers.get(m.label)
             if tower is None:
                 continue
-            predicted = self._predicted_dbm(
-                node, tower.position, tower.erp_dbm, m.freq_hz
-            )
+            geom = ray_geometry(node.position, tower.position)
+            predicted = self._predicted_dbm(geom, tower.erp_dbm, m.freq_hz)
             offsets.append(predicted - m.measured)
-            bearings.append(
-                ray_geometry(node.position, tower.position).azimuth_deg
-            )
+            bearings.append(geom.azimuth_deg)
             labels.append(m.label)
         if len(offsets) < self.min_signals:
             return AbsolutePowerCalibration(
@@ -149,10 +145,9 @@ class AbsolutePowerCalibrator:
                 reliable=False,
             )
         arr = np.asarray(offsets)
-        estimate = float(np.quantile(arr, self.quantile))
-        spread = float(
-            np.quantile(arr, 0.9) - np.quantile(arr, 0.1)
-        )
+        q, q90, q10 = np.quantile(arr, [self.quantile, 0.9, 0.1])
+        estimate = float(q)
+        spread = float(q90 - q10)
         anchor = int(np.argmin(arr))
         reliable = False
         if fov is not None:

@@ -28,6 +28,11 @@ from repro.core.report import BandGrade, CalibrationReport, ClaimViolation
 from repro.geo.coords import GeoPoint
 from repro.interference.collisions import CollisionStats
 
+#: What the ``*_from_dict`` readers raise on valid JSON of the wrong
+#: shape: a list or number where an object belongs, a missing key, a
+#: value of the wrong type. Readers of stored state catch these.
+SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
 
 def observation_to_dict(obs: AircraftObservation) -> Dict[str, Any]:
     """Serialize one aircraft observation."""

@@ -9,38 +9,38 @@ keys; mutating any static input — a tower moved, a material swapped,
 a frequency added — changes the digest and forces a recompute. That
 property is what lets cached results claim bit-identity.
 
-Hashing walks the object graph directly into the hasher (no
-intermediate canonical string), with type tags so ``1`` and ``1.0``
-and ``"1"`` never collide. Dataclasses hash as (qualified class name,
-field values); numpy arrays as (dtype, shape, raw bytes). Anything
-the walker cannot prove stable — a bare callable, an open file, an
+Hashing walks the object graph into a byte stream (no intermediate
+canonical string), with type tags so ``1`` and ``1.0`` and ``"1"``
+never collide. Dataclasses hash as (qualified class name, field
+values); numpy arrays as (dtype, shape, raw bytes). Anything the
+walker cannot prove stable — a bare callable, an open file, an
 arbitrary object — raises :class:`UncacheableValue`, and callers skip
 the cache rather than risk a wrong hit.
+
+The byte stream is a persisted format. Job keys
+(:meth:`repro.runtime.jobs.CalibrationJob.content_key`) name the
+``--cache-dir`` entries and the checkpoint manifest's job records, so
+any change to a tag, a length prefix or a field order orphans every
+cache written before it. ``tests/test_engines_contentkey.py`` pins
+the stream with golden digests and a reference walker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Tuple
+import hashlib
+import struct
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 #: Digest size for content keys (hex length 32).
 _DIGEST_BYTES = 16
 
-#: Per-class field lists, memoized — ``dataclasses.fields`` rebuilds
-#: the tuple on every call, and hashing walks many instances.
-_FIELDS_BY_CLASS: dict = {}
-
-
-def _class_fields(cls):
-    cached = _FIELDS_BY_CLASS.get(cls)
-    if cached is None:
-        cached = tuple(
-            (f.name, f) for f in dataclasses.fields(cls)
-        )
-        _FIELDS_BY_CLASS[cls] = cached
-    return cached
+#: A float's record: the same 8 bytes as ``np.float64(x).tobytes()``.
+_pack_float = struct.Struct("=d").pack
+#: A length prefix: the same 8 bytes as ``n.to_bytes(8, "little")``.
+_pack_len = struct.Struct("<Q").pack
 
 
 class UncacheableValue(TypeError):
@@ -52,69 +52,180 @@ class UncacheableValue(TypeError):
     """
 
 
-def _update(h, obj: Any) -> None:
-    """Feed one object (recursively) into the hasher, type-tagged."""
-    if obj is None:
-        h.update(b"N")
-    elif obj is True:
-        h.update(b"T")
-    elif obj is False:
-        h.update(b"F")
-    elif isinstance(obj, bytes):
-        h.update(b"b")
-        h.update(len(obj).to_bytes(8, "little"))
-        h.update(obj)
+# Each emitter appends one value's tagged records to ``out``; the
+# chunks are hashed once, joined, in :func:`content_key`.
+
+
+def _emit_none(obj: Any, out: List[bytes]) -> None:
+    out.append(b"N")
+
+
+def _emit_bool(obj: Any, out: List[bytes]) -> None:
+    out.append(b"T" if obj else b"F")
+
+
+def _emit_bytes(obj: Any, out: List[bytes]) -> None:
+    out += (b"b", _pack_len(len(obj)), obj)
+
+
+def _emit_str(obj: Any, out: List[bytes]) -> None:
+    raw = obj.encode("utf-8")
+    out += (b"s", _pack_len(len(raw)), raw)
+
+
+def _emit_int(obj: Any, out: List[bytes]) -> None:
+    raw = str(obj).encode("ascii")
+    out += (b"i", _pack_len(len(raw)), raw)
+
+
+def _emit_float(obj: Any, out: List[bytes]) -> None:
+    out += (b"f", _pack_float(obj))
+
+
+def _emit_array(obj: Any, out: List[bytes]) -> None:
+    arr = np.ascontiguousarray(obj)
+    out.append(b"a")
+    _emit_str(str(arr.dtype), out)
+    _emit_seq(arr.shape, out)
+    out.append(arr.tobytes())
+
+
+def _emit_generic(obj: Any, out: List[bytes]) -> None:
+    out.append(b"g")
+    _emit_str(str(obj.dtype), out)
+    out.append(obj.tobytes())
+
+
+def _emit_seq(obj: Any, out: List[bytes]) -> None:
+    out += (b"l", _pack_len(len(obj)))
+    for item in obj:
+        emit = _EMITTERS.get(type(item))
+        if emit is None:
+            _walk(item, out)
+        else:
+            emit(item, out)
+
+
+def _emit_dict(obj: Any, out: List[bytes]) -> None:
+    out += (b"d", _pack_len(len(obj)))
+    for key in sorted(obj, key=repr):
+        _walk(key, out)
+        _walk(obj[key], out)
+
+
+def _emit_set(obj: Any, out: List[bytes]) -> None:
+    out += (b"e", _pack_len(len(obj)))
+    for item in sorted(obj, key=repr):
+        _walk(item, out)
+
+
+def _emit_token(obj: Any, out: List[bytes]) -> None:
+    # Opt-in protocol: the object supplies the value that defines its
+    # content (used to exclude runtime state like RNG caches).
+    out.append(b"c")
+    _emit_str(type(obj).__qualname__, out)
+    _walk(obj.content_token(), out)
+
+
+#: Emitters by *exact* type. A subclass misses here and takes the
+#: ``isinstance`` chain in :func:`_walk_subclass`. ``bool`` has its own
+#: entry, so it never reaches ``int``; ``np.float64`` subclasses
+#: ``float`` and hashes as one, while other numpy scalars (``np.int64``,
+#: ``np.bool_``) fall through to the ``np.generic`` test.
+_EMITTERS: Dict[type, Callable[[Any, List[bytes]], None]] = {
+    type(None): _emit_none,
+    bool: _emit_bool,
+    bytes: _emit_bytes,
+    str: _emit_str,
+    int: _emit_int,
+    float: _emit_float,
+    np.float64: _emit_float,
+    np.ndarray: _emit_array,
+    tuple: _emit_seq,
+    list: _emit_seq,
+    dict: _emit_dict,
+    set: _emit_set,
+    frozenset: _emit_set,
+}
+
+#: Per dataclass: its ``D`` tag and qualname record as one chunk,
+#: then (field-name record, field name) per field. Built once per
+#: class — ``dataclasses.fields`` rebuilds its tuple on every call.
+_Header = Tuple[bytes, Tuple[Tuple[bytes, str], ...]]
+_DATACLASS_HEADERS: Dict[type, _Header] = {}
+
+
+def _dataclass_header(cls: type) -> _Header:
+    header = _DATACLASS_HEADERS.get(cls)
+    if header is None:
+        prefix: List[bytes] = [b"D"]
+        _emit_str(cls.__qualname__, prefix)
+        fields = []
+        for f in dataclasses.fields(cls):
+            record: List[bytes] = []
+            _emit_str(f.name, record)
+            fields.append((b"".join(record), f.name))
+        header = (b"".join(prefix), tuple(fields))
+        _DATACLASS_HEADERS[cls] = header
+    return header
+
+
+def _emit_dataclass(obj: Any, header: _Header, out: List[bytes]) -> None:
+    prefix, fields = header
+    out.append(prefix)
+    for record, name in fields:
+        out.append(record)
+        value = getattr(obj, name)
+        emit = _EMITTERS.get(type(value))
+        if emit is None:
+            _walk(value, out)
+        else:
+            emit(value, out)
+
+
+def _walk(obj: Any, out: List[bytes]) -> None:
+    """Append one object's type-tagged records to ``out``."""
+    emit = _EMITTERS.get(type(obj))
+    if emit is not None:
+        emit(obj, out)
+        return
+    # A cached header means the class already fell through every
+    # builtin test below; only the per-instance token check remains.
+    header = _DATACLASS_HEADERS.get(type(obj))
+    if header is not None and not hasattr(obj, "content_token"):
+        _emit_dataclass(obj, header, out)
+    else:
+        _walk_subclass(obj, out)
+
+
+def _walk_subclass(obj: Any, out: List[bytes]) -> None:
+    """The type tests, in tag-precedence order, for unlisted types.
+
+    ``None`` and ``bool`` cannot be subclassed, so only the table
+    sees them.
+    """
+    if isinstance(obj, bytes):
+        _emit_bytes(obj, out)
     elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        h.update(b"s")
-        h.update(len(raw).to_bytes(8, "little"))
-        h.update(raw)
+        _emit_str(obj, out)
     elif isinstance(obj, int):
-        h.update(b"i")
-        raw = str(obj).encode("ascii")
-        h.update(len(raw).to_bytes(8, "little"))
-        h.update(raw)
+        _emit_int(obj, out)
     elif isinstance(obj, float):
-        h.update(b"f")
-        h.update(np.float64(obj).tobytes())
+        _emit_float(obj, out)
     elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        h.update(b"a")
-        _update(h, str(arr.dtype))
-        _update(h, arr.shape)
-        h.update(arr.tobytes())
+        _emit_array(obj, out)
     elif isinstance(obj, np.generic):
-        h.update(b"g")
-        _update(h, str(obj.dtype))
-        h.update(obj.tobytes())
+        _emit_generic(obj, out)
     elif isinstance(obj, (tuple, list)):
-        h.update(b"l")
-        h.update(len(obj).to_bytes(8, "little"))
-        for item in obj:
-            _update(h, item)
+        _emit_seq(obj, out)
     elif isinstance(obj, dict):
-        h.update(b"d")
-        h.update(len(obj).to_bytes(8, "little"))
-        for key in sorted(obj, key=repr):
-            _update(h, key)
-            _update(h, obj[key])
+        _emit_dict(obj, out)
     elif isinstance(obj, (set, frozenset)):
-        h.update(b"e")
-        h.update(len(obj).to_bytes(8, "little"))
-        for item in sorted(obj, key=repr):
-            _update(h, item)
+        _emit_set(obj, out)
     elif hasattr(obj, "content_token"):
-        # Opt-in protocol: the object supplies the value that defines
-        # its content (used to exclude runtime state like RNG caches).
-        h.update(b"c")
-        _update(h, type(obj).__qualname__)
-        _update(h, obj.content_token())
+        _emit_token(obj, out)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        h.update(b"D")
-        _update(h, type(obj).__qualname__)
-        for name, _f in _class_fields(type(obj)):
-            _update(h, name)
-            _update(h, getattr(obj, name))
+        _emit_dataclass(obj, _dataclass_header(type(obj)), out)
     else:
         raise UncacheableValue(
             f"cannot derive a content key for {type(obj).__qualname__}"
@@ -127,12 +238,12 @@ def content_key(*parts: Any) -> str:
     Raises :class:`UncacheableValue` when any part contains a value
     whose content cannot be hashed (callables, unknown objects).
     """
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+    out: List[bytes] = []
     for part in parts:
-        _update(h, part)
-    return h.hexdigest()
+        _walk(part, out)
+    return hashlib.blake2b(
+        b"".join(out), digest_size=_DIGEST_BYTES
+    ).hexdigest()
 
 
 def rng_state_token(rng: np.random.Generator) -> Tuple:

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Union
 
 from repro.core.network import NodeAssessment
 from repro.core.serialize import (
+    SHAPE_ERRORS,
     assessment_from_dict,
     assessment_to_dict,
 )
@@ -70,13 +71,15 @@ class ResultCache:
         path = self._path(key)
         try:
             envelope = json.loads(path.read_text())
+            if not isinstance(envelope, dict):
+                return None
             if envelope.get("format") != CACHE_FORMAT:
                 return None
             if envelope.get("key") != key:
                 return None
             return assessment_from_dict(envelope["assessment"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # unreadable/corrupt entry == miss
+        except (OSError, *SHAPE_ERRORS):
+            return None  # unreadable/corrupt/mis-shaped entry == miss
 
     def _write_disk(self, key: str, assessment: NodeAssessment) -> None:
         envelope = {

@@ -13,9 +13,11 @@ pool, in that order:
 
 After every terminal job the full manifest — per-job ledger plus the
 serialized assessments — is atomically rewritten to the checkpoint
-path, so a killed campaign resumes from its last completed job. The
-summary ledger and metrics (jobs run, retries, cache hits, latency
-percentiles) make partial runs auditable.
+path, so a killed campaign resumes from its last completed job. A
+manifest that is unreadable, truncated, of another format or
+mis-shaped restores nothing, and every job runs. The summary ledger
+and metrics (jobs run, retries, cache hits, latency percentiles)
+make partial runs auditable.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import (
 
 from repro.core.network import NodeAssessment
 from repro.core.serialize import (
+    SHAPE_ERRORS,
     assessment_from_dict,
     assessment_to_dict,
 )
@@ -271,8 +274,13 @@ class FleetCampaign:
             manifest = json.loads(Path(path).read_text())
         except (OSError, ValueError):
             return {}
-        if manifest.get("format") != MANIFEST_FORMAT:
-            return {}
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("format") != MANIFEST_FORMAT
+            or not isinstance(manifest.get("jobs"), dict)
+            or not isinstance(manifest.get("results"), dict)
+        ):
+            return {}  # mis-shaped reads like unreadable: run every job
         return manifest
 
     def _write_manifest(
@@ -310,17 +318,17 @@ class FleetCampaign:
         self, manifest: Dict, job: CalibrationJob, key: str
     ) -> Optional[NodeAssessment]:
         """A DONE assessment from the checkpoint, if keys still match."""
-        entry = manifest.get("jobs", {}).get(job.job_id)
-        if not entry or entry.get("state") != "done":
+        entry = manifest["jobs"].get(job.job_id)
+        if not isinstance(entry, dict) or entry.get("state") != "done":
             return None
         if entry.get("key") != key:
             return None  # config changed since the checkpoint
-        stored = manifest.get("results", {}).get(job.job_id)
+        stored = manifest["results"].get(job.job_id)
         if stored is None:
             return None
         try:
             return assessment_from_dict(stored)
-        except (KeyError, TypeError, ValueError):
+        except SHAPE_ERRORS:
             return None
 
     # -- the run ----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.serialize import assessment_to_json
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import CalibrationJob, NodeSpec, WorldSpec
@@ -71,3 +73,54 @@ class TestDiskCache:
             cache.put(_key(seed=i), make_assessment("n0"))
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+class TestDiskFaults:
+    """Stored entries a crash or a bad writer can leave: all misses."""
+
+    def _stored(self, tmp_path, make_assessment):
+        key = _key()
+        ResultCache(tmp_path).put(key, make_assessment("n0"))
+        return key, tmp_path / f"{key}.json"
+
+    @pytest.mark.parametrize("payload", ["[]", "3", '"x"', "null"])
+    def test_non_object_envelope_is_a_miss(
+        self, tmp_path, make_assessment, payload
+    ):
+        key, path = self._stored(tmp_path, make_assessment)
+        path.write_text(payload)
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_mis_shaped_scan_is_a_miss(self, tmp_path, make_assessment):
+        key, path = self._stored(tmp_path, make_assessment)
+        envelope = json.loads(path.read_text())
+        envelope["assessment"]["report"]["scan"] = []
+        path.write_text(json.dumps(envelope))
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_truncated_entry_is_a_miss(self, tmp_path, make_assessment):
+        key, path = self._stored(tmp_path, make_assessment)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_wrong_format_is_a_miss(self, tmp_path, make_assessment):
+        key, path = self._stored(tmp_path, make_assessment)
+        envelope = json.loads(path.read_text())
+        envelope["format"] = envelope["format"] + 1
+        path.write_text(json.dumps(envelope))
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_stale_tmp_beside_complete_entry(
+        self, tmp_path, make_assessment
+    ):
+        # A kill between the temp write and the rename leaves a partial
+        # ``.tmp`` next to the last complete entry; the entry still hits.
+        key, path = self._stored(tmp_path, make_assessment)
+        text = path.read_text()
+        path.with_suffix(".json.tmp").write_text(text[: len(text) // 3])
+        fresh = ResultCache(tmp_path)
+        restored = fresh.get(key)
+        assert restored is not None
+        assert restored.node_id == "n0"
+        assert fresh.hits == 1

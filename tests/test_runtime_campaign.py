@@ -6,6 +6,8 @@ the end-to-end runtime path is covered by the fleet experiment tests
 and the runtime benchmark.
 """
 
+import json
+
 import pytest
 
 from repro.core.serialize import assessment_to_json
@@ -214,3 +216,84 @@ class TestCheckpointResume:
         ).run()
         assert result.state_counts() == {"done": 2}
         assert result.source_counts() == {"run": 2}
+
+
+class TestCheckpointFaults:
+    """A damaged manifest never aborts ``--resume``; jobs just run."""
+
+    def _interrupted(self, tmp_path, runner, jobs):
+        ckpt = tmp_path / "ckpt.json"
+        FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(ckpt), stop_after=2),
+            runner=runner,
+        ).run()
+        return ckpt
+
+    def _resume(self, ckpt, runner, jobs):
+        return FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(ckpt), resume=True),
+            runner=runner,
+        ).run()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            3,
+            {"format": 1, "jobs": [], "results": {}},
+            {"format": 1, "jobs": {}, "results": []},
+            {"format": 1, "jobs": {"a": 3, "b": []}, "results": {}},
+        ],
+    )
+    def test_mis_shaped_manifest_runs_every_job(
+        self, tmp_path, runner, payload
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        result = self._resume(ckpt, runner, _jobs("a", "b"))
+        assert result.state_counts() == {"done": 2}
+        assert result.source_counts() == {"run": 2}
+
+    def test_mis_shaped_stored_result_reruns_that_job(
+        self, tmp_path, runner
+    ):
+        jobs = _jobs("a", "b", "c")
+        ckpt = self._interrupted(tmp_path, runner, jobs)
+        manifest = json.loads(ckpt.read_text())
+        manifest["results"]["a"]["report"]["scan"] = []
+        ckpt.write_text(json.dumps(manifest))
+        result = self._resume(ckpt, runner, jobs)
+        assert result.source_counts() == {"checkpoint": 1, "run": 2}
+        assert runner.calls == ["a", "b", "a", "c"]
+
+    def test_truncated_manifest_runs_every_job(self, tmp_path, runner):
+        jobs = _jobs("a", "b", "c")
+        ckpt = self._interrupted(tmp_path, runner, jobs)
+        text = ckpt.read_text()
+        ckpt.write_text(text[: len(text) // 2])
+        result = self._resume(ckpt, runner, jobs)
+        assert result.source_counts() == {"run": 3}
+
+    def test_wrong_format_runs_every_job(self, tmp_path, runner):
+        jobs = _jobs("a", "b", "c")
+        ckpt = self._interrupted(tmp_path, runner, jobs)
+        manifest = json.loads(ckpt.read_text())
+        manifest["format"] += 1
+        ckpt.write_text(json.dumps(manifest))
+        result = self._resume(ckpt, runner, jobs)
+        assert result.source_counts() == {"run": 3}
+
+    def test_stale_tmp_beside_complete_manifest(self, tmp_path, runner):
+        # Killed between writing the next manifest's temp file and the
+        # rename: resume reads the last complete manifest only.
+        jobs = _jobs("a", "b", "c")
+        ckpt = self._interrupted(tmp_path, runner, jobs)
+        text = ckpt.read_text()
+        tmp = ckpt.with_name(ckpt.name + ".tmp")
+        tmp.write_text(text[: len(text) // 3])
+        result = self._resume(ckpt, runner, jobs)
+        assert result.source_counts() == {"checkpoint": 2, "run": 1}
+        assert runner.calls == ["a", "b", "c"]
+        assert result.state_counts() == {"done": 3}

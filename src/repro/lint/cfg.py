@@ -9,8 +9,9 @@ graph purely syntactically — nothing is imported or executed.
 Design notes:
 
 - An :class:`Event` is one analysis-relevant step inside a block: a
-  simple statement, a branch test, a loop iterable, or the enter/exit
-  of a ``with`` context. Checkers pattern-match on the event kind.
+  simple statement, a branch test, a loop iterable, a loop target's
+  binding, or the enter/exit of a ``with`` context. Checkers
+  pattern-match on the event kind.
 - Every block carries the *structural guard stack* under which it
   executes — the chain of branch/loop conditions that dominate it in
   the source. Guards make control dependence cheap to query without
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -37,7 +38,12 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 STMT = "stmt"
 TEST = "test"
 ITER = "iter"
+#: A loop target binding: a synthetic ``Assign`` whose value is the
+#: loop iterable. The iterable is already its own ``ITER`` event, so
+#: checkers that walk expressions skip a ``BIND`` event's value.
+BIND = "bind"
 WITH_ENTER = "with-enter"
+#: Carries the context expression again; its calls ran at the enter.
 WITH_EXIT = "with-exit"
 
 
@@ -304,7 +310,7 @@ class _Builder:
         # The loop target binds at the head of every iteration.
         self._emit(
             body_block,
-            STMT,
+            BIND,
             ast.Assign(
                 targets=[stmt.target],
                 value=stmt.iter,
@@ -396,10 +402,20 @@ def build_cfg(func: FunctionNode) -> Cfg:
     return _Builder(func).build()
 
 
-def function_nodes(tree: ast.AST) -> List[FunctionNode]:
-    """Every function/method definition in a module, outermost first."""
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
+def walk_same_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk a subtree without descending into nested scopes.
+
+    The root is always yielded (a walk rooted at a function visits
+    that function's own body); nested function/lambda *children* are
+    pruned, since their bodies run later under unknown control flow.
+    """
+    stack: List[ast.AST] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if not isinstance(
+                child,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
+            ):
+                stack.append(child)

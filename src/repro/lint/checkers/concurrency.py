@@ -28,14 +28,17 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import FrozenSet, Iterator, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.lint.cfg import (
+    BIND,
+    STMT,
     WITH_ENTER,
     WITH_EXIT,
     Block,
     Event,
     build_cfg,
+    walk_same_scope,
 )
 from repro.lint.context import FileContext
 from repro.lint.dataflow import ForwardAnalysis, replay, run_forward
@@ -47,7 +50,6 @@ from repro.lint.findings import (
 )
 from repro.lint.resolve import (
     ImportMap,
-    build_import_map,
     canonical_call,
     dotted,
 )
@@ -181,11 +183,10 @@ class ConcurrencyChecker:
     ) -> List[Finding]:
         if not (LOCK_SCOPES & ctx.scope_parts):
             return []
-        imports = build_import_map(ctx.tree)
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
-                self._check_class(ctx, imports, node, findings)
+                self._check_class(ctx, node, findings)
         return findings
 
     # -- per-class ----------------------------------------------------
@@ -193,11 +194,10 @@ class ConcurrencyChecker:
     def _check_class(
         self,
         ctx: FileContext,
-        imports: ImportMap,
         cls: ast.ClassDef,
         findings: List[Finding],
     ) -> None:
-        locks, guards = self._guard_attrs(imports, cls)
+        locks, guards = self._guard_attrs(ctx.imports, cls)
         if not locks:
             return
         for stmt in cls.body:
@@ -264,16 +264,23 @@ class ConcurrencyChecker:
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 return  # nested defs run later, under unknown locking
-            if not held and check_mutations and event.kind == "stmt":
+            if not held and check_mutations and event.kind in (
+                STMT,
+                BIND,
+            ):
                 if isinstance(node, ast.stmt):
                     self._check_mutation(
                         ctx, class_name, method.name, node, findings
                     )
-            if held:
-                for call in _calls_in_event(node):
-                    self._check_locked_call(
-                        ctx, class_name, method.name, call, findings
-                    )
+            if held and event.kind not in (BIND, WITH_EXIT):
+                # Both repeat a node already visited: a loop target's
+                # value is the ITER event's iterable, and a with-exit
+                # holds the context expression called at its enter.
+                for call in walk_same_scope(node):
+                    if isinstance(call, ast.Call):
+                        self._check_locked_call(
+                            ctx, class_name, method.name, call, findings
+                        )
 
         replay(cfg, analysis, entry_states, visit)
 
@@ -382,17 +389,3 @@ class ConcurrencyChecker:
                 return f"callback `{func.attr}`"
         return None
 
-
-def _calls_in_event(node: ast.AST) -> Iterator[ast.Call]:
-    """Call nodes within one event, not descending nested scopes."""
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-        ):
-            continue
-        if isinstance(current, ast.Call):
-            yield current
-        stack.extend(ast.iter_child_nodes(current))

@@ -31,7 +31,7 @@ from repro.lint.findings import (
     finding,
     register_rule,
 )
-from repro.lint.resolve import build_import_map, canonical_call
+from repro.lint.resolve import canonical_call
 from repro.lint.signatures import SignatureIndex
 
 RL201 = register_rule(
@@ -126,12 +126,11 @@ class DeterminismChecker:
     ) -> List[Finding]:
         if not (SIM_SCOPES & ctx.scope_parts):
             return []
-        imports = build_import_map(ctx.tree)
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            canon = canonical_call(imports, node.func)
+            canon = canonical_call(ctx.imports, node.func)
             if canon is None:
                 continue
             result = self._classify(ctx, node, canon)

@@ -15,8 +15,9 @@ without its oracle:
   An equivalence test must call both, so the pair's names have to
   appear together in at least one test file. The check is
   name-based and purely syntactic; it only runs when the engine
-  indexed a tests tree (``SignatureIndex.has_test_index``), so
-  hermetic fixture runs stay quiet unless they opt in.
+  has a tests tree with a parsable module
+  (``SignatureIndex.test_refs``), so hermetic fixture runs stay
+  quiet unless they opt in.
 
 Private (``_``-prefixed) kernels are exempt: they are internals of a
 public kernel that carries the contract for both.
@@ -113,10 +114,11 @@ class OracleCoverageChecker:
         pair: "tuple[str, str]",
         findings: List[Finding],
     ) -> None:
-        if not index.has_test_index:
+        test_refs = index.test_refs
+        if test_refs is None:
             return
         batch_name, oracle_name = pair
-        for refs in index.test_refs.values():
+        for refs in test_refs:
             if batch_name in refs and oracle_name in refs:
                 return
         findings.append(

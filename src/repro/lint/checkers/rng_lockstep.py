@@ -32,7 +32,7 @@ they like.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.lint.cfg import (
     Block,
@@ -40,6 +40,7 @@ from repro.lint.cfg import (
     Event,
     FunctionNode,
     build_cfg,
+    walk_same_scope,
 )
 from repro.lint.context import FileContext
 from repro.lint.dataflow import ForwardAnalysis, out_states, run_forward
@@ -117,26 +118,6 @@ def _is_draw(node: ast.Call) -> bool:
     return False
 
 
-def _walk_same_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk a subtree without descending into nested scopes.
-
-    The root is always yielded (a walk rooted at a function visits
-    that function's own body); nested function/lambda *children* are
-    pruned — their bodies run under unknown control flow.
-    """
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-            ):
-                continue
-            stack.append(child)
-
-
 def _draws_in(node: ast.AST) -> List[ast.Call]:
     if isinstance(
         node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -144,7 +125,7 @@ def _draws_in(node: ast.AST) -> List[ast.Call]:
         return []  # opaque nested-def event: draws run later
     return [
         sub
-        for sub in _walk_same_scope(node)
+        for sub in walk_same_scope(node)
         if isinstance(sub, ast.Call) and _is_draw(sub)
     ]
 
@@ -195,7 +176,7 @@ class _TaintAnalysis(ForwardAnalysis[TaintState]):
         return state - names
 
     def expr_tainted(self, state: TaintState, expr: ast.expr) -> bool:
-        for sub in _walk_same_scope(expr):
+        for sub in walk_same_scope(expr):
             if isinstance(sub, ast.Name) and sub.id in state:
                 return True
             if isinstance(sub, ast.Call) and _is_draw(sub):
@@ -315,7 +296,7 @@ class RngLockstepChecker:
     ) -> None:
         params = _parameter_names(fn)
         mode_locals = _mode_locals(fn, params)
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if not isinstance(node, ast.If):
                 continue
             if _is_mode_like(node.test, params, mode_locals):
@@ -387,7 +368,7 @@ def _mode_locals(fn: FunctionNode, params: Set[str]) -> Set[str]:
     """
     mode: Set[str] = set()
     disqualified: Set[str] = set()
-    for node in _walk_same_scope(fn):
+    for node in walk_same_scope(fn):
         if not isinstance(node, ast.Assign):
             continue
         for target in node.targets:
@@ -496,7 +477,7 @@ def _is_memoized_draw(node: ast.If) -> bool:
 def _test_mentions(test: ast.expr, names: Set[str]) -> bool:
     return any(
         isinstance(sub, ast.Name) and sub.id in names
-        for sub in _walk_same_scope(test)
+        for sub in walk_same_scope(test)
     )
 
 

@@ -33,12 +33,14 @@ import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.cfg import (
+    BIND,
     ITER,
     STMT,
     TEST,
     Cfg,
     Event,
     build_cfg,
+    walk_same_scope,
 )
 from repro.lint.context import FileContext
 from repro.lint.dataflow import ForwardAnalysis, replay, run_forward
@@ -48,11 +50,7 @@ from repro.lint.findings import (
     finding,
     register_rule,
 )
-from repro.lint.resolve import (
-    ImportMap,
-    build_import_map,
-    dotted,
-)
+from repro.lint.resolve import dotted
 from repro.lint.signatures import FunctionSig, SignatureIndex
 from repro.lint.units import (
     VIOLATION_ABSOLUTE_ADD,
@@ -126,7 +124,6 @@ def _describe(node: ast.expr) -> str:
 def resolve_call_signatures(
     ctx: FileContext,
     index: SignatureIndex,
-    imports: ImportMap,
     func: ast.expr,
     current_class: Optional[str],
 ) -> List[FunctionSig]:
@@ -140,6 +137,7 @@ def resolve_call_signatures(
     agree on a parameter's unit.
     """
     module = ctx.module
+    imports = ctx.imports
     if isinstance(func, ast.Name):
         name = func.id
         sig = index.functions.get(
@@ -225,9 +223,8 @@ class UnitsChecker:
     def check(
         self, ctx: FileContext, index: SignatureIndex
     ) -> List[Finding]:
-        imports = build_import_map(ctx.tree)
         findings: List[Finding] = []
-        self._walk(ctx, index, imports, ctx.tree, None, findings)
+        self._walk(ctx, index, ctx.tree, None, findings)
         return findings
 
     # -- traversal ----------------------------------------------------
@@ -236,20 +233,17 @@ class UnitsChecker:
         self,
         ctx: FileContext,
         index: SignatureIndex,
-        imports: ImportMap,
         node: ast.AST,
         current_class: Optional[str],
         findings: List[Finding],
     ) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                self._walk(
-                    ctx, index, imports, child, child.name, findings
-                )
+                self._walk(ctx, index, child, child.name, findings)
                 continue
             if isinstance(child, ast.Call):
                 sigs = resolve_call_signatures(
-                    ctx, index, imports, child.func, current_class
+                    ctx, index, child.func, current_class
                 )
                 if sigs:
                     findings.extend(
@@ -259,9 +253,7 @@ class UnitsChecker:
                 result = self._check_arith(ctx, child)
                 if result is not None:
                     findings.append(result)
-            self._walk(
-                ctx, index, imports, child, current_class, findings
-            )
+            self._walk(ctx, index, child, current_class, findings)
 
     # -- RL101 --------------------------------------------------------
 
@@ -303,20 +295,22 @@ class UnitsChecker:
         right = expr_unit(node.right)
         if left is None or right is None:
             return None
-        operator = "+" if isinstance(node.op, ast.Add) else "-"
-        where = (str(ctx.path), node.lineno, node.col_offset + 1)
-        if left == right:
-            if left == "dbm" and operator == "+":
-                return finding(
-                    RL102,
-                    *where,
-                    "adding two absolute dBm powers "
-                    f"(`{_describe(node.left)} + "
-                    f"{_describe(node.right)}`); power sums in "
-                    "watts — convert with dbm_to_watts first",
-                )
+        is_add = isinstance(node.op, ast.Add)
+        _, violation = combine_add_sub(left, right, is_add)
+        if violation is None:
             return None
-        if dimension(left) != dimension(right):
+        operator = "+" if is_add else "-"
+        where = (str(ctx.path), node.lineno, node.col_offset + 1)
+        if violation == VIOLATION_ABSOLUTE_ADD:
+            return finding(
+                RL102,
+                *where,
+                "adding two absolute dBm powers "
+                f"(`{_describe(node.left)} + "
+                f"{_describe(node.right)}`); power sums in "
+                "watts — convert with dbm_to_watts first",
+            )
+        if violation == VIOLATION_DIMENSION_MIX:
             return finding(
                 RL102,
                 *where,
@@ -324,8 +318,6 @@ class UnitsChecker:
                 f"(`{_describe(node.left)}`) and {label(right)} "
                 f"(`{_describe(node.right)}`) mixes dimensions",
             )
-        if dimension(left) == "level":
-            return None  # dB vs dBm / dBFS: legitimate gain math
         return finding(
             RL102,
             *where,
@@ -452,19 +444,15 @@ class UnitFlowChecker:
     def check(
         self, ctx: FileContext, index: SignatureIndex
     ) -> List[Finding]:
-        imports = build_import_map(ctx.tree)
         findings: List[Finding] = []
         for func, owner in _functions_with_owner(ctx.tree):
-            self._check_function(
-                ctx, index, imports, func, owner, findings
-            )
+            self._check_function(ctx, index, func, owner, findings)
         return findings
 
     def _check_function(
         self,
         ctx: FileContext,
         index: SignatureIndex,
-        imports: ImportMap,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
         owner: Optional[str],
         findings: List[Finding],
@@ -477,7 +465,7 @@ class UnitFlowChecker:
         def visit(
             env: Dict[str, str], event: Event, _block: object
         ) -> None:
-            if event.kind not in (STMT, TEST, ITER):
+            if event.kind not in (STMT, TEST, ITER, BIND):
                 return
             node = event.node
             if isinstance(node, ast.Return):
@@ -489,21 +477,17 @@ class UnitFlowChecker:
                     self._check_suffixed_assign(
                         ctx, target, node.value, env, findings
                     )
+            if event.kind == BIND:
+                return  # the iterable was walked as its ITER event
             for expr in _expressions_of(node):
-                for sub in _walk_same_scope(expr):
+                for sub in walk_same_scope(expr):
                     if isinstance(sub, ast.BinOp):
                         self._check_arith_flow(
                             ctx, sub, env, findings
                         )
                     elif isinstance(sub, ast.Call):
                         self._check_call_flow(
-                            ctx,
-                            index,
-                            imports,
-                            owner,
-                            sub,
-                            env,
-                            findings,
+                            ctx, index, owner, sub, env, findings
                         )
 
         replay(cfg, analysis, entry_states, visit)
@@ -588,21 +572,18 @@ class UnitFlowChecker:
         self,
         ctx: FileContext,
         index: SignatureIndex,
-        imports: ImportMap,
         owner: Optional[str],
         call: ast.Call,
         env: Dict[str, str],
         findings: List[Finding],
     ) -> None:
-        sigs = resolve_call_signatures(
-            ctx, index, imports, call.func, owner
-        )
+        sigs = resolve_call_signatures(ctx, index, call.func, owner)
         if not sigs:
             return
         for param, arg in iter_call_bindings(call, sigs):
             param_unit = unit_suffix(param)
             if param_unit is None:
-                return
+                continue
             if expr_unit(arg) is not None:
                 continue  # statement-level RL101 owns suffixed args
             arg_unit = infer_expr(arg, env)
@@ -694,22 +675,3 @@ def _expressions_of(node: ast.AST) -> List[ast.expr]:
             out.append(field_value)
     return out
 
-
-def _walk_same_scope(expr: ast.expr) -> Iterator[ast.AST]:
-    """Walk an expression without descending into nested scopes."""
-    stack: List[ast.AST] = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (
-                    ast.Lambda,
-                    ast.FunctionDef,
-                    ast.AsyncFunctionDef,
-                    ast.ClassDef,
-                ),
-            ):
-                continue
-            stack.append(child)

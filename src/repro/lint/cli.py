@@ -178,11 +178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fresh, absorbed = apply_baseline(result.findings, accepted)
         result.findings = fresh
         result.baselined = absorbed
-        result.per_rule = {}
-        for f in fresh:
-            result.per_rule[f.rule_id] = (
-                result.per_rule.get(f.rule_id, 0) + 1
-            )
 
     if args.format == "json":
         print(render_json(result))

@@ -1,4 +1,4 @@
-"""Per-file parse context: AST, module name, and suppressions.
+"""Per-file parse context: AST, module name, imports, suppressions.
 
 Suppression syntax (comments, matched case-insensitively):
 
@@ -12,6 +12,10 @@ Suppression syntax (comments, matched case-insensitively):
 
 A rule-id prefix also matches: ``disable=RL3`` covers RL301 and
 RL302. Suppressed findings are counted, never silently dropped.
+
+Suppressions are read on the first :meth:`FileContext.is_suppressed`
+call, so a file without findings is never tokenized; a file whose
+source never matches the marker is not tokenized either.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Set, Tuple
+
+from repro.lint.resolve import ImportMap, build_import_map
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*"
@@ -39,8 +46,6 @@ class FileContext:
     source: str
     tree: ast.Module
     module: str
-    line_disables: Dict[int, Set[str]] = field(default_factory=dict)
-    file_disables: Set[str] = field(default_factory=set)
 
     @property
     def scope_parts(self) -> FrozenSet[str]:
@@ -55,18 +60,28 @@ class FileContext:
         parts.update(p.lower() for p in self.module.split("."))
         return frozenset(parts)
 
+    @cached_property
+    def imports(self) -> ImportMap:
+        """The file's import bindings, shared by every checker."""
+        return build_import_map(self.tree)
+
+    @cached_property
+    def _disables(self) -> "Tuple[Dict[int, Set[str]], Set[str]]":
+        return _scan_suppressions(self.source)
+
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         """Whether ``rule_id`` is disabled at ``line`` in this file."""
         rule_id = rule_id.upper()
+        line_disables, file_disables = self._disables
 
         def matches(disables: Set[str]) -> bool:
             return any(
                 d == "ALL" or rule_id.startswith(d) for d in disables
             )
 
-        if matches(self.file_disables):
+        if matches(file_disables):
             return True
-        return matches(self.line_disables.get(line, set()))
+        return matches(line_disables.get(line, set()))
 
 
 def module_name_for(path: Path) -> str:
@@ -85,10 +100,13 @@ def module_name_for(path: Path) -> str:
 
 def _scan_suppressions(
     source: str,
-) -> "tuple[Dict[int, Set[str]], Set[str]]":
+) -> "Tuple[Dict[int, Set[str]], Set[str]]":
     """Collect per-line and per-file disables from comments."""
     line_disables: Dict[int, Set[str]] = {}
     file_disables: Set[str] = set()
+    if _SUPPRESS_RE.search(source) is None:
+        # No marker anywhere, so none in a comment either.
+        return line_disables, file_disables
     reader = io.StringIO(source).readline
     try:
         tokens = list(tokenize.generate_tokens(reader))
@@ -114,12 +132,9 @@ def parse_file(path: Path) -> FileContext:
     """Read and parse one file; raises ``SyntaxError`` on bad source."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
-    line_disables, file_disables = _scan_suppressions(source)
     return FileContext(
         path=path,
         source=source,
         tree=tree,
         module=module_name_for(path),
-        line_disables=line_disables,
-        file_disables=file_disables,
     )

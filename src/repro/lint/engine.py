@@ -1,17 +1,19 @@
 """Orchestration: collect files, build the index, run checkers.
 
 Two passes. Pass one parses every target file *plus* the whole
-installed ``repro`` package and records callable signatures, so unit
-binding resolves across module boundaries even when only a subset is
-being linted. Pass two runs every rule family over each target and
-filters the results through suppressions and ``--select``/
-``--ignore``.
+installed ``repro`` package, once each, and records callable
+signatures, so unit binding resolves across module boundaries even
+when only a subset is being linted. Pass two runs every rule family
+over each target and filters the results through suppressions and
+``--select``/``--ignore``. Suppression comments and the tests tree
+are read only when a finding needs them.
 """
 
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -42,7 +44,10 @@ class LintResult:
     suppressed: int = 0
     #: Findings absorbed by a committed baseline (ratchet debt).
     baselined: int = 0
-    per_rule: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def per_rule(self) -> Dict[str, int]:
+        return dict(Counter(f.rule_id for f in self.findings))
 
     @property
     def error_count(self) -> int:
@@ -190,7 +195,6 @@ def run_lint(
 
     contexts: List[FileContext] = []
     parse_failures: List[Finding] = []
-    parsed: Dict[Path, FileContext] = {}
     for path in targets:
         try:
             ctx = parse_file(path)
@@ -203,30 +207,23 @@ def run_lint(
             )
             continue
         contexts.append(ctx)
-        parsed[path.resolve()] = ctx
 
     index_contexts = list(contexts)
     if index_package:
+        targeted = {path.resolve() for path in targets}
         for path in _package_files():
-            if path.resolve() in parsed:
+            if path in targeted:  # package paths are resolved
                 continue
             try:
                 index_contexts.append(parse_file(path))
             except (SyntaxError, UnicodeDecodeError):
-                continue  # target files already reported above
-    index: SignatureIndex = build_index(index_contexts)
-
+                continue  # reported as RL000 when it is a target
     tests_dir: Optional[Path] = None
     if tests_root is not None:
         tests_dir = Path(tests_root)
     elif index_package:
         tests_dir = _discover_tests_root(targets)
-    if tests_dir is not None and tests_dir.is_dir():
-        for path in sorted(tests_dir.rglob("*.py")):
-            try:
-                index.add_test_module(parse_file(path))
-            except (SyntaxError, UnicodeDecodeError):
-                continue  # broken test files are pytest's problem
+    index: SignatureIndex = build_index(index_contexts, tests_dir)
 
     raw: List[Finding] = list(parse_failures)
     suppressed = 0
@@ -249,12 +246,8 @@ def run_lint(
         ]
 
     raw.sort(key=lambda f: f.sort_key)
-    per_rule: Dict[str, int] = {}
-    for f in raw:
-        per_rule[f.rule_id] = per_rule.get(f.rule_id, 0) + 1
     return LintResult(
         findings=raw,
         files=[str(p) for p in targets],
         suppressed=suppressed,
-        per_rule=per_rule,
     )

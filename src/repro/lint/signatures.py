@@ -6,12 +6,18 @@ anything, the parameter names of every function, method, and
 constructor — including synthesised dataclass constructors. Pass two
 uses the index to bind call arguments to parameter names so the unit
 checker can compare suffixes across module boundaries.
+
+The names the tests tree references (the RL602 coverage rule's
+evidence) are read on first use, so a run that lints no public
+``*_batch`` kernel never opens the tests tree.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.lint.context import FileContext
@@ -183,12 +189,9 @@ class SignatureIndex:
     scalar_dispatchers: Dict[str, List[Tuple[str, str]]] = field(
         default_factory=dict
     )
-    #: test file path -> every name it references. Only populated
-    #: when the engine was pointed at (or discovered) a tests tree;
-    #: ``has_test_index`` distinguishes "no tests indexed" from "no
-    #: tests reference this name".
-    test_refs: Dict[str, Set[str]] = field(default_factory=dict)
-    has_test_index: bool = False
+    #: The tests tree whose references feed the RL6 coverage rule;
+    #: ``None`` when the engine was given (or discovered) none.
+    tests_root: Optional[Path] = None
 
     def add_module(self, ctx: FileContext) -> None:
         module = ctx.module
@@ -203,9 +206,26 @@ class SignatureIndex:
                 self._add_class(module, node)
         self._add_dispatchers(ctx)
 
-    def add_test_module(self, ctx: FileContext) -> None:
-        self.test_refs[str(ctx.path)] = referenced_names(ctx.tree)
-        self.has_test_index = True
+    @cached_property
+    def test_refs(self) -> Optional[List[Set[str]]]:
+        """Every name each parsable test module references.
+
+        ``None`` when there is no tests tree or no module in it
+        parses, which tells "no tests indexed" apart from "no test
+        references this name".
+        """
+        if self.tests_root is None or not self.tests_root.is_dir():
+            return None
+        refs: List[Set[str]] = []
+        for path in sorted(self.tests_root.rglob("*.py")):
+            try:
+                tree = ast.parse(
+                    path.read_text(encoding="utf-8"), filename=str(path)
+                )
+            except (SyntaxError, UnicodeDecodeError):
+                continue  # broken test files are pytest's problem
+            refs.append(referenced_names(tree))
+        return refs or None
 
     def _add_dispatchers(self, ctx: FileContext) -> None:
         for scope_functions in function_scopes(ctx.tree):
@@ -256,8 +276,10 @@ class SignatureIndex:
             )
 
 
-def build_index(contexts: List[FileContext]) -> SignatureIndex:
-    index = SignatureIndex()
+def build_index(
+    contexts: List[FileContext], tests_root: Optional[Path] = None
+) -> SignatureIndex:
+    index = SignatureIndex(tests_root=tests_root)
     for ctx in contexts:
         index.add_module(ctx)
     return index

@@ -4,6 +4,8 @@ expected findings depend only on the fixture files themselves."""
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -19,6 +21,10 @@ def lint(*relative, select=None):
 
 def rule_ids(result):
     return [f.rule_id for f in result.findings]
+
+
+def located(result):
+    return [(f.rule_id, f.line) for f in result.findings]
 
 
 class TestUnitsFamily:
@@ -171,6 +177,46 @@ class TestUnitFlowFamily:
         result = lint("flow/units_flow_clean.py", select=["RL1"])
         assert result.findings == []
 
+    def test_unsuffixed_keyword_does_not_end_the_call(self, tmp_path):
+        # `n` carries no unit; the `freq_hz` binding after it is
+        # still checked, whatever the keyword order.
+        target = tmp_path / "tuning.py"
+        target.write_text(
+            "def tune(n, freq_hz=0.0):\n"
+            "    return freq_hz * n\n"
+            "\n"
+            "\n"
+            "def retune(level_dbm):\n"
+            "    power = level_dbm\n"
+            "    tune(freq_hz=power, n=3)\n"
+            "    tune(n=3, freq_hz=power)\n"
+        )
+        result = run_lint([str(target)], index_package=False)
+        assert located(result) == [("RL104", 7), ("RL104", 8)]
+
+    def test_loop_iterable_is_reported_once(self, tmp_path):
+        target = tmp_path / "spin.py"
+        target.write_text(
+            "def spin(level_dbm, other_dbm):\n"
+            "    power = level_dbm\n"
+            "    for _ in range(int(power + other_dbm)):\n"
+            "        pass\n"
+        )
+        result = run_lint([str(target)], index_package=False)
+        assert located(result) == [("RL103", 3)]
+
+    def test_loop_target_takes_the_iterable_unit(self, tmp_path):
+        target = tmp_path / "sweep.py"
+        target.write_text(
+            "def sweep(freqs_hz, pause_us):\n"
+            "    for f in freqs_hz:\n"
+            "        total = f + pause_us\n"
+            "    return total\n"
+        )
+        result = run_lint([str(target)], index_package=False)
+        assert located(result) == [("RL103", 3)]
+        assert "Hz" in result.findings[0].message
+
 
 class TestLockFlowFamily:
     def test_positive_fixture_fires_every_case(self):
@@ -188,6 +234,34 @@ class TestLockFlowFamily:
         # pre-CFG heuristic checker could not prove safe.
         result = lint("stream/lockflow_clean.py", select=["RL3"])
         assert result.findings == []
+
+    @pytest.mark.parametrize(
+        "head",
+        ["for _ in self.on_event():", "with self.on_event():"],
+        ids=["loop-iterable", "with-context"],
+    )
+    def test_call_under_the_lock_is_reported_once(self, tmp_path, head):
+        # The loop target's binding and the with-exit both repeat the
+        # node holding the call; neither reports it again.
+        target = tmp_path / "stream" / "hub.py"
+        target.parent.mkdir()
+        target.write_text(
+            "import threading\n"
+            "\n"
+            "\n"
+            "class Hub:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "\n"
+            "    def fire(self):\n"
+            "        with self._lock:\n"
+            f"            {head}\n"
+            "                pass\n"
+        )
+        result = run_lint(
+            [str(target)], select=["RL3"], index_package=False
+        )
+        assert located(result) == [("RL302", 10)]
 
 
 class TestRngLockstepFamily:

@@ -4,7 +4,9 @@ dump1090 serves decoded traffic on TCP port 30003 in the BaseStation
 CSV format ("MSG,3,..."), which virtually every ADS-B consumer can
 read. This module renders :class:`~repro.adsb.decoder.DecodedMessage`
 streams into that format and parses it back, so simulated nodes can
-interoperate with real feeder tooling.
+interoperate with real feeder tooling. :func:`parse_sbs` builds a full
+:class:`SbsRecord`; :func:`sbs_icao` only validates a line and returns
+its ICAO address, for consumers that read nothing else.
 
 Field layout (22 comma-separated columns):
 
@@ -137,3 +139,44 @@ def parse_sbs(line: str) -> SbsRecord:
         speed_kt=speed,
         track_deg=track,
     )
+
+
+def sbs_icao(line: str) -> int:
+    """Validate one BaseStation CSV line and return its ICAO address.
+
+    Accepts and rejects exactly the lines :func:`parse_sbs` does, with
+    the same ``ValueError`` message, but builds no record: it runs the
+    same checks in the same order (field count, ``MSG`` tag,
+    transmission type, 24-bit address, the position and its
+    :class:`~repro.geo.coords.GeoPoint` range checks, speed, track)
+    and keeps only the address as a plain int.
+    """
+    parts = line.strip().split(",")
+    if len(parts) != 22:
+        raise ValueError(
+            f"SBS line must have 22 fields, got {len(parts)}"
+        )
+    if parts[0] != "MSG":
+        raise ValueError(f"not a MSG record: {parts[0]!r}")
+    tt = int(parts[1])
+    if tt not in _KIND_BY_TT:
+        raise ValueError(f"unsupported transmission type: {tt}")
+    value = int(parts[4], 16)
+    if not 0 <= value < (1 << 24):
+        # IcaoAddress's check and message
+        raise ValueError(f"ICAO address out of range: {value:#x}")
+    if parts[14] and parts[15]:
+        if parts[11]:
+            float(parts[11])
+        lat = float(parts[14])
+        lon = float(parts[15])
+        # GeoPoint's checks and messages
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"latitude out of range: {lat}")
+        if not math.isfinite(lon):
+            raise ValueError(f"longitude must be finite: {lon}")
+    if parts[12]:
+        float(parts[12])
+    if parts[13]:
+        float(parts[13])
+    return value

@@ -92,14 +92,6 @@ class Cfg:
     entry: int
     exit: int
 
-    def preds(self) -> Dict[int, List[int]]:
-        """Predecessor lists, computed from successor edges."""
-        out: Dict[int, List[int]] = {b: [] for b in self.blocks}
-        for block in self.blocks.values():
-            for succ in block.succs:
-                out[succ].append(block.block_id)
-        return out
-
     def rpo(self) -> List[int]:
         """Reverse postorder from the entry block."""
         seen = set()

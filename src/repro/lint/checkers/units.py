@@ -37,6 +37,7 @@ from repro.lint.cfg import (
     ITER,
     STMT,
     TEST,
+    WITH_ENTER,
     Cfg,
     Event,
     build_cfg,
@@ -465,7 +466,9 @@ class UnitFlowChecker:
         def visit(
             env: Dict[str, str], event: Event, _block: object
         ) -> None:
-            if event.kind not in (STMT, TEST, ITER, BIND):
+            # A `with` context expression is walked at WITH_ENTER
+            # only: its WITH_EXIT event repeats the same node.
+            if event.kind not in (STMT, TEST, ITER, BIND, WITH_ENTER):
                 return
             node = event.node
             if isinstance(node, ast.Return):

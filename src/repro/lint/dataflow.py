@@ -16,7 +16,7 @@ exact event positions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, TypeVar
+from typing import Callable, Dict, Generic, TypeVar
 
 from repro.lint.cfg import Block, Cfg, Event
 
@@ -140,19 +140,3 @@ def out_states(
         )
         for block_id, state in entry_states.items()
     }
-
-
-def reachable_events(cfg: Cfg) -> List[Event]:
-    """All events of reachable blocks, for structural scans."""
-    seen = set()
-    out: List[Event] = []
-    stack = [cfg.entry]
-    while stack:
-        block_id = stack.pop()
-        if block_id in seen:
-            continue
-        seen.add(block_id)
-        block = cfg.blocks[block_id]
-        out.extend(block.events)
-        stack.extend(block.succs)
-    return out

@@ -3,10 +3,12 @@
 A session owns a node's :class:`~repro.stream.engine.OnlineCalibrationEngine`
 and knows how to turn raw stream records into engine updates:
 
-- **SBS lines** are parsed with the hardened
-  :func:`~repro.adsb.sbs.parse_sbs`; malformed lines go to a capped
-  quarantine buffer (and a counter) instead of crashing the consumer —
-  a flaky sender degrades its own data, not the service.
+- **SBS lines** are checked with :func:`~repro.adsb.sbs.sbs_icao`,
+  which accepts and rejects exactly the lines
+  :func:`~repro.adsb.sbs.parse_sbs` does but keeps only the ICAO
+  address the join reads; malformed lines go to a capped quarantine
+  buffer (and a counter) instead of crashing the consumer — a flaky
+  sender degrades its own data, not the service.
 - **Truth batches** (flight-tracker snapshots) are joined online
   against the window's decoded-ICAO tallies, exactly the §3.1 join
   ``scan_from_sbs`` performs in batch.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.adsb.icao import IcaoAddress
-from repro.adsb.sbs import parse_sbs
+from repro.adsb.sbs import sbs_icao
 from repro.core.observations import AircraftObservation
 from repro.environment.links import ray_geometry
 from repro.geo.coords import GeoPoint
@@ -197,13 +199,20 @@ class NodeSession:
     # live SBS path
 
     def _handle_sbs(self, record: SbsLineRecord) -> None:
+        """Tally one SBS line's ICAO in the open window.
+
+        The join reads only the address, so the line is validated by
+        :func:`~repro.adsb.sbs.sbs_icao` rather than parsed into a
+        record; an :class:`IcaoAddress` is built only when an ICAO
+        first appears in a window.
+        """
         line = record.line.strip()
         if not line:
             self.counters.blank_lines += 1
             self.engine.advance(record.time_s)
             return
         try:
-            parsed = parse_sbs(line)
+            key = sbs_icao(line)
         except ValueError as exc:
             self.counters.malformed_lines += 1
             self.quarantine.append((record.time_s, line, str(exc)))
@@ -211,10 +220,9 @@ class NodeSession:
             return
         self.counters.sbs_lines += 1
         self.engine.advance(record.time_s)
-        key = parsed.icao.value
         tally = self._tallies.get(key)
         if tally is None:
-            tally = self._tallies[key] = _LiveTally(parsed.icao)
+            tally = self._tallies[key] = _LiveTally(IcaoAddress(key))
         tally.n_messages += 1
         tally.last_time_s = record.time_s
 

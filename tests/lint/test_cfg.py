@@ -132,6 +132,10 @@ class TestRegions:
             for b in cfg.blocks.values()
             if b.guards and b.guards[-1].kind == "except"
         )
-        preds = cfg.preds()[handler.block_id]
+        preds = [
+            b.block_id
+            for b in cfg.blocks.values()
+            if handler.block_id in b.succs
+        ]
         # At least the pre-try block and the body block.
         assert len(preds) >= 2

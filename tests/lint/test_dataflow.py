@@ -7,7 +7,6 @@ from repro.lint.cfg import STMT, build_cfg
 from repro.lint.dataflow import (
     ForwardAnalysis,
     out_states,
-    reachable_events,
     replay,
     run_forward,
 )
@@ -112,12 +111,3 @@ class TestReplayHelpers:
         )
         exits = out_states(cfg, analysis, states)
         assert exits[cfg.entry] == frozenset({"a", "b"})
-
-    def test_reachable_events_skip_dead_code(self):
-        cfg, _, _ = analyse(
-            "def f(x):\n    return x\n    dead = 1\n"
-        )
-        nodes = [e.node for e in reachable_events(cfg)]
-        assert all(
-            not isinstance(n, ast.Assign) for n in nodes
-        )

@@ -194,6 +194,24 @@ class TestUnitFlowFamily:
         result = run_lint([str(target)], index_package=False)
         assert located(result) == [("RL104", 7), ("RL104", 8)]
 
+    def test_with_context_call_is_reported_once(self, tmp_path):
+        # The context expression is checked like a statement call,
+        # and not again when the block exits.
+        target = tmp_path / "session.py"
+        target.write_text(
+            "def tune(freq_hz=0.0):\n"
+            "    return freq_hz\n"
+            "\n"
+            "\n"
+            "def retune(level_dbm):\n"
+            "    power = level_dbm\n"
+            "    tune(freq_hz=power)\n"
+            "    with tune(freq_hz=power):\n"
+            "        pass\n"
+        )
+        result = run_lint([str(target)], index_package=False)
+        assert located(result) == [("RL104", 7), ("RL104", 8)]
+
     def test_loop_iterable_is_reported_once(self, tmp_path):
         target = tmp_path / "spin.py"
         target.write_text(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.adsb.decoder import DecodedMessage
 from repro.adsb.icao import IcaoAddress
-from repro.adsb.sbs import parse_sbs, to_sbs
+from repro.adsb.sbs import SbsRecord, parse_sbs, to_sbs
 from repro.airspace.flightradar import FlightReport
 from repro.core.network import NodeAssessment
 from repro.geo.coords import GeoPoint
@@ -26,6 +26,7 @@ from repro.stream import (
     StreamGateway,
     TruthBatchRecord,
 )
+from repro.stream.session import _LiveTally
 from tests.test_stream_online import _obs
 
 RECEIVER = GeoPoint(37.8715, -122.2730, 20.0)
@@ -570,3 +571,146 @@ class TestSbsIngestEdges:
         scan = session.engine.snapshot().report.scan
         assert scan.ghost_icaos == sorted({r.icao for r in accepted})
         assert scan.decoded_message_count == len(accepted)
+
+
+def _count_builds(monkeypatch, *classes):
+    """Count constructions of ``classes`` by name while patched."""
+    built = Counter()
+    for cls in classes:
+        def counting(
+            self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs
+        ):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+class _RecordingSession(NodeSession):
+    """Records each window's tallies, in order, as the window closes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flushes = []
+
+    def _flush_window_tallies(self, boundary_s):
+        self.flushes.append(
+            (
+                boundary_s,
+                [
+                    (key, t.icao, t.n_messages, t.last_time_s, t.matched)
+                    for key, t in self._tallies.items()
+                ],
+            )
+        )
+        super()._flush_window_tallies(boundary_s)
+
+
+class _ParsingSession(_RecordingSession):
+    """The SBS path as it was before the scanner: every line parsed
+    into a full ``SbsRecord`` by ``parse_sbs``."""
+
+    def _handle_sbs(self, record):
+        line = record.line.strip()
+        if not line:
+            self.counters.blank_lines += 1
+            self.engine.advance(record.time_s)
+            return
+        try:
+            parsed = parse_sbs(line)
+        except ValueError as exc:
+            self.counters.malformed_lines += 1
+            self.quarantine.append((record.time_s, line, str(exc)))
+            self.engine.advance(record.time_s)
+            return
+        self.counters.sbs_lines += 1
+        self.engine.advance(record.time_s)
+        key = parsed.icao.value
+        tally = self._tallies.get(key)
+        if tally is None:
+            tally = self._tallies[key] = _LiveTally(parsed.icao)
+        tally.n_messages += 1
+        tally.last_time_s = record.time_s
+
+
+def _state(session):
+    return (
+        session.counters.as_dict(),
+        list(session.quarantine),
+        session.flushes,
+        [
+            (key, t.n_messages, t.matched)
+            for key, t in session._tallies.items()
+        ],
+        session.last_seen_s,
+        repr(session.engine.summaries),
+    )
+
+
+#: Record stamps: in and out of order across a few windows, so some
+#: records arrive late, and some non-finite.
+_stamps = st.one_of(
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0),
+    st.sampled_from(_BAD_TIMES),
+)
+
+_records = st.one_of(
+    st.builds(SbsLineRecord, _stamps, _damaged_lines),
+    st.builds(SbsLineRecord, _stamps, _damaged_lines),
+    st.builds(
+        lambda t, icaos: TruthBatchRecord(t, [_report(i) for i in icaos]),
+        _stamps,
+        st.lists(st.sampled_from([A, B, C]), max_size=3),
+    ),
+    st.builds(HeartbeatRecord, _stamps),
+)
+
+
+class TestSbsScannerPath:
+    """The live SBS path builds only the addresses the join keeps."""
+
+    def test_one_address_per_new_icao_per_window(self, monkeypatch):
+        # Every kind, so parse_sbs would have built a GeoPoint for the
+        # position lines and parsed floats for the velocity ones.
+        kinds = ["acquisition", "position", "velocity", "identification"]
+        window_icaos = [[A, B, A, A], [B, B], [A, C, B, C]]
+        session = NodeSession("n", receiver_position=RECEIVER)
+        built = _count_builds(
+            monkeypatch, SbsRecord, GeoPoint, IcaoAddress
+        )
+        for w, icaos in enumerate(window_icaos):
+            for i, icao in enumerate(icaos):
+                t = 30.0 * w + i + 1.0
+                line = to_sbs(
+                    DecodedMessage(
+                        time_s=t,
+                        icao=icao,
+                        kind=kinds[i % len(kinds)],
+                        callsign="UAL123",
+                        position=RECEIVER,
+                        velocity_kt=(100.0, 50.0),
+                    )
+                )
+                session.handle(SbsLineRecord(t, line))
+        assert built == {
+            "IcaoAddress": sum(len(set(icaos)) for icaos in window_icaos)
+        }
+        assert session.counters.sbs_lines == 10
+        session.handle(HeartbeatRecord(90.0))
+        assert session.counters.ghosts == 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_records, max_size=40), st.integers(1, 8))
+    def test_same_dispositions_as_parsing_every_line(self, records, cap):
+        scanning = _RecordingSession(
+            "n", receiver_position=RECEIVER, quarantine_cap=cap
+        )
+        parsing = _ParsingSession(
+            "n", receiver_position=RECEIVER, quarantine_cap=cap
+        )
+        for record in records + [HeartbeatRecord(120.0)]:
+            scanning.handle(record)
+            parsing.handle(record)
+            assert _state(scanning) == _state(parsing)

@@ -26,20 +26,26 @@ Endpoints (all GET, all JSON):
 - ``/v1/healthz`` — liveness + current snapshot generation.
 
 Every cacheable response carries a strong ETag; ``If-None-Match``
-revalidation returns 304 without a body. Cached entries live for the
-cache TTL or until a snapshot swap, whichever ends first.
+revalidation (weak comparison over a tag list, or ``*``) returns 304
+without a body. Cached entries live for the cache TTL or until a
+snapshot swap, whichever ends first.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import MetricsRegistry
 from repro.serve.cache import ResponseCache
-from repro.serve.http import Request, Response, json_error, split_path
-from repro.serve.store import FleetSnapshot, FleetStore, Page
+from repro.serve.http import (
+    Request,
+    Response,
+    etag_matches,
+    json_error,
+    split_path,
+)
+from repro.serve.store import FleetSnapshot, FleetStore, Page, json_fragment
 
 #: Columns the node listing may sort on.
 SORTABLE = (
@@ -58,7 +64,7 @@ class ParamError(ValueError):
 
 
 def _json_body(payload: Any) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode()
+    return json_fragment(payload).encode()
 
 
 class SpectrumApp:
@@ -169,7 +175,10 @@ class SpectrumApp:
                 snapshot.generation,
             )
         max_age = f"max-age={self.cache.ttl_s:g}"
-        if request.if_none_match == entry.etag:
+        if_none_match = request.if_none_match
+        if if_none_match == entry.etag or etag_matches(
+            if_none_match, entry.etag
+        ):
             self.metrics.incr("serve_not_modified")
             return Response(
                 status=304, etag=entry.etag, cache_control=max_age
@@ -387,9 +396,18 @@ def _cache_key(request: Request) -> str:
 
 
 def _page_body(snapshot: FleetSnapshot, page: Page) -> bytes:
-    payload = page.to_dict()
-    payload["generation"] = snapshot.generation
-    return _json_body(payload)
+    """A page's body, joined from its row fragments.
+
+    Byte-identical to ``_json_body({**page.to_dict(), "generation": g})``
+    without decoding or re-encoding a row.
+    """
+    next_cursor = "null" if page.next_cursor is None else page.next_cursor
+    return (
+        '{"items":['
+        + ",".join(page.fragments)
+        + f'],"next_cursor":{next_cursor},"total":{page.total},'
+        f'"generation":{snapshot.generation}}}'
+    ).encode()
 
 
 def _opt_int(q: Dict[str, str], name: str) -> Optional[int]:

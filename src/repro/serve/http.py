@@ -11,6 +11,8 @@ benchmark and the unit tests can drive it without a socket.
 from __future__ import annotations
 
 import asyncio
+import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, unquote
@@ -156,10 +158,29 @@ def encode_response(
 
 def json_error(status: int, message: str) -> Response:
     """A small JSON error body with the right status."""
-    body = (
-        '{"error": "' + message.replace('"', "'") + '"}'
-    ).encode()
-    return Response(status=status, body=body)
+    return Response(
+        status=status, body=json.dumps({"error": message}).encode()
+    )
+
+
+#: The quoted opaque part of each entity-tag in an ``If-None-Match``
+#: list; a ``W/`` prefix falls outside the match, which is exactly
+#: weak comparison. An opaque tag may itself contain commas.
+_OPAQUE_TAG = re.compile(r'"[^"]*"')
+
+
+def etag_matches(if_none_match: Optional[str], etag: str) -> bool:
+    """Whether an ``If-None-Match`` value matches a strong ``etag``.
+
+    RFC 9110 §13.1.2: ``*`` matches any current representation; else
+    the value is a comma-separated list of entity-tags compared
+    weakly, i.e. by opaque tag with any ``W/`` prefix ignored.
+    """
+    if if_none_match is None:
+        return False
+    if if_none_match.strip() == "*":
+        return True
+    return etag in _OPAQUE_TAG.findall(if_none_match)
 
 
 def split_path(path: str) -> Tuple[str, ...]:

@@ -10,12 +10,16 @@ the older generation. This is the classic read-optimized
 big-spectrum-data shape (Electrosense's sensors → ingest → storage →
 API pipeline): ingestion appends snapshots, queries never block.
 
-Every query helper here returns plain JSON-ready dicts; HTTP concerns
-(caching, ETags, status codes) live in :mod:`repro.serve.app`.
+Single-item query helpers return plain JSON-ready dicts; paginated
+ones return a :class:`Page` whose rows are already compact JSON
+fragments, so a page body is a join rather than an encode. HTTP
+concerns (caching, ETags, status codes) live in
+:mod:`repro.serve.app`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from collections import deque
@@ -60,13 +64,28 @@ class DriftStatus:
         }
 
 
+#: The service's one JSON encoder: ``json.dumps`` defaults with
+#: compact separators. Row fragments and whole bodies both go through
+#: it, so a body joined from fragments equals one encoded whole.
+json_fragment = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class Page:
-    """One page of a cursor-paginated query."""
+    """One page of a cursor-paginated query.
 
-    items: List[Dict[str, Any]]
+    Rows are held as compact JSON fragments, the pieces a page body
+    is joined from; :attr:`items` and :meth:`to_dict` decode them for
+    callers that want dicts.
+    """
+
+    fragments: List[str]
     next_cursor: Optional[int]
     total: int
+
+    @property
+    def items(self) -> List[Dict[str, Any]]:
+        return [json.loads(fragment) for fragment in self.fragments]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -84,13 +103,21 @@ OrderKey = Union[str, Tuple[str, int]]
 class FleetSnapshot:
     """One immutable, queryable picture of the whole fleet.
 
-    Because a snapshot never changes after construction, the full
-    stable sort order of any column it is queried by is computed once,
-    on first use, and memoised on the snapshot (:meth:`order`); a
-    filtered, sorted query is then a boolean slice of that order, and
-    a page's rows are built from one gather of column slices rather
-    than row by row. Two readers racing on the first use of an order
-    both compute the same array, so the memo needs no lock.
+    Because a snapshot never changes after construction, two things
+    are computed once, on first use, and memoised on it:
+
+    - the full stable sort order of any column it is queried by
+      (:meth:`order`), so a filtered, sorted query is a boolean slice
+      of that order;
+    - each node's list-row JSON fragment, one slot per node, so the
+      rows near the top of every order, which overlapping filtered
+      queries keep asking for, are built and encoded once per
+      snapshot. A page fills only its own empty slots, through one
+      :meth:`node_rows` gather of column slices.
+
+    Two readers racing on a first use both compute the same array or
+    write the same string, so neither memo needs a lock. Memory is
+    bounded by one fragment per node.
     """
 
     def __init__(
@@ -116,6 +143,7 @@ class FleetSnapshot:
         #: of generation counter, so unchanged re-publishes revalidate.
         self.etag = self.columns.content_hash()
         self._orders: Dict[OrderKey, np.ndarray] = {}
+        self._node_json: List[Optional[str]] = [None] * self.n_nodes
 
     @property
     def n_nodes(self) -> int:
@@ -144,6 +172,21 @@ class FleetSnapshot:
                 key, np.argsort(column, kind="stable")
             )
         return order
+
+    def node_fragments(self, idx: np.ndarray) -> List[str]:
+        """List-row JSON for column rows ``idx``, each encoded once.
+
+        Empty memo slots among ``idx`` are filled from one
+        :meth:`node_rows` gather; a slot, once written, never changes.
+        """
+        memo = self._node_json
+        rows = idx.tolist()
+        missing = [i for i in rows if memo[i] is None]
+        if missing:
+            built = self.node_rows(np.asarray(missing, dtype=np.intp))
+            for i, row in zip(missing, built):
+                memo[i] = json_fragment(row)
+        return [memo[i] for i in rows]
 
     def node_row(self, i: int) -> Dict[str, Any]:
         """The list-endpoint summary row for node at column row ``i``."""
@@ -263,7 +306,7 @@ class FleetSnapshot:
             selected = order[mask[order]]
         if descending:
             selected = selected[::-1]
-        return self._paginate(selected, cursor, limit, self.node_rows)
+        return self._paginate(selected, cursor, limit, self.node_fragments)
 
     def node_detail(self, node_id: str) -> Optional[Dict[str, Any]]:
         """Full serialized assessment for one node (None if unknown)."""
@@ -300,7 +343,11 @@ class FleetSnapshot:
         untrustworthy_only: bool = False,
         threshold: float = 0.5,
     ) -> Page:
-        """Trust scores with per-check detail, worst node first."""
+        """Trust scores with per-check detail, worst node first.
+
+        Rows depend on the caller's ``threshold``, so they are encoded
+        per page and never memoised.
+        """
         cols = self.columns
         order = self.order("trust")
         if untrustworthy_only:
@@ -327,7 +374,10 @@ class FleetSnapshot:
             }
 
         return self._paginate(
-            order, cursor, limit, lambda idx: [row(i) for i in idx.tolist()]
+            order,
+            cursor,
+            limit,
+            lambda idx: [json_fragment(row(i)) for i in idx.tolist()],
         )
 
     def drift_rows(self) -> List[Dict[str, Any]]:
@@ -401,17 +451,19 @@ class FleetSnapshot:
         order = self.order(("band", j))
         selected = order[mask[order]][::-1]
 
-        def rows(idx: np.ndarray) -> List[Dict[str, Any]]:
+        def rows(idx: np.ndarray) -> List[str]:
             return [
-                {
-                    "node_id": cols.node_ids[i],
-                    "measured_dbm": measured_dbm,
-                    "expected_dbm": expected_dbm,
-                    "excess_db": (
-                        excess_db if not math.isnan(excess_db) else None
-                    ),
-                    "decoded": decoded,
-                }
+                json_fragment(
+                    {
+                        "node_id": cols.node_ids[i],
+                        "measured_dbm": measured_dbm,
+                        "expected_dbm": expected_dbm,
+                        "excess_db": (
+                            excess_db if not math.isnan(excess_db) else None
+                        ),
+                        "decoded": decoded,
+                    }
+                )
                 for i, measured_dbm, expected_dbm, excess_db, decoded in zip(
                     idx.tolist(),
                     measured[idx].tolist(),
@@ -463,7 +515,7 @@ class FleetSnapshot:
         selected: np.ndarray,
         cursor: int,
         limit: int,
-        rows: Callable[[np.ndarray], List[Dict[str, Any]]],
+        fragments: Callable[[np.ndarray], List[str]],
     ) -> Page:
         if cursor < 0:
             raise ValueError(f"cursor must be >= 0: {cursor}")
@@ -473,7 +525,7 @@ class FleetSnapshot:
         window = selected[cursor : cursor + limit]
         next_cursor = cursor + limit
         return Page(
-            items=rows(window),
+            fragments=fragments(window),
             next_cursor=next_cursor if next_cursor < total else None,
             total=total,
         )

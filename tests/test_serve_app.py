@@ -4,6 +4,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.app import SpectrumApp
 from repro.serve.cache import ResponseCache
@@ -98,6 +100,35 @@ class TestParams:
         assert "error" in body(response)
 
 
+EMPTY_APP = SpectrumApp(FleetStore())
+
+
+class TestErrorBodies:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        segment=st.text(min_size=1).filter(lambda s: "/" not in s)
+    )
+    @example(segment="a\\q")
+    @example(segment="a\nb")
+    @example(segment='say "hi"')
+    def test_every_4xx_body_round_trips_the_message(self, segment):
+        for path, message in (
+            ("/v1/nodes/" + segment, "no such node: " + segment),
+            ("/v1/nodes/" + segment + "/fov", "no such node: " + segment),
+            ("/v1/bands/" + segment, "no such band: " + segment),
+            ("/v9/" + segment, "no such endpoint: /v9/" + segment),
+        ):
+            response = get(EMPTY_APP, path)
+            assert response.status == 404
+            assert body(response) == {"error": message}
+        for name in ("cursor", "limit", "min_trust", "outdoor"):
+            response = get(EMPTY_APP, "/v1/nodes", {name: segment})
+            if 400 <= response.status < 500:
+                payload = body(response)
+                assert set(payload) == {"error"}
+                assert payload["error"].startswith(name)
+
+
 class TestPaginationWalk:
     def test_walk_covers_fleet_exactly_once(self, app):
         seen = []
@@ -186,6 +217,52 @@ class TestCaching:
         # (counters are recorded after dispatch, so the first body
         # predates its own request's counter).
         assert body(second)["metrics"]["serve_requests"] >= 1
+
+    @pytest.mark.parametrize(
+        "header",
+        (
+            "{tag}",
+            "W/{tag}",
+            '"zz", {tag}',
+            '"zz",W/{tag}',
+            "*",
+            " * ",
+        ),
+    )
+    def test_if_none_match_forms_that_match_304(self, app, header):
+        first = get(app, "/v1/fleet")
+        second = get(
+            app,
+            "/v1/fleet",
+            headers={"if-none-match": header.format(tag=first.etag)},
+        )
+        assert second.status == 304
+        assert second.body == b""
+        assert second.etag == first.etag
+
+    @pytest.mark.parametrize(
+        "header",
+        (
+            '"zz"',
+            'W/"zz", "yy"',
+            "{bare}",
+            "{tag_prefix}",
+        ),
+    )
+    def test_if_none_match_forms_that_miss_200(self, app, header):
+        first = get(app, "/v1/fleet")
+        value = header.format(
+            bare=first.etag.strip('"'), tag_prefix=first.etag[:-2] + '"'
+        )
+        second = get(app, "/v1/fleet", headers={"if-none-match": value})
+        assert second.status == 200
+        assert second.body == first.body
+
+    def test_star_does_not_turn_a_404_into_a_304(self, app):
+        response = get(
+            app, "/v1/nodes/ghost-node", headers={"if-none-match": "*"}
+        )
+        assert response.status == 404
 
     def test_cache_control_header_carries_ttl(self, app):
         response = get(app, "/v1/nodes")

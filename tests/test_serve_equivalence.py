@@ -5,11 +5,16 @@ sort orders and builds page rows from column slices. This suite keeps
 the straightforward implementation as an in-test oracle — a stable
 argsort of the selected subset on every request, one scalar row at a
 time — and checks both agree on every page and every response byte,
-including ties, NaN cells and cursors past the end. It also pins the
-one-pass column build to a per-row record-writing oracle.
+including ties, NaN cells and cursors past the end. Page bodies are
+joined from memoised row fragments, so each is also checked against
+the whole-page ``json.dumps`` renderer the fragment join replaced, and
+each node row is checked to be built and encoded once per snapshot.
+It also pins the one-pass column build to a per-row record-writing
+oracle.
 """
 
 import dataclasses
+import json
 import threading
 from typing import Any, Dict, List, Optional
 
@@ -19,6 +24,7 @@ import pytest
 from repro.core.abs_power import AbsolutePowerCalibration
 from repro.core.frequency import FrequencyProfile
 from repro.core.report import ClaimViolation
+from repro.serve import store as store_module
 from repro.serve.app import SORTABLE, SpectrumApp, _page_body
 from repro.serve.columns import SUMMARY_DTYPE, FleetColumns, _band_union
 from repro.serve.http import Request
@@ -181,7 +187,10 @@ def oracle_paginate(selected, cursor, limit, row) -> Page:
     total = len(selected)
     next_cursor = cursor + limit
     return Page(
-        items=[row(int(i)) for i in selected[cursor : cursor + limit]],
+        fragments=[
+            json.dumps(row(int(i)), separators=(",", ":"))
+            for i in selected[cursor : cursor + limit]
+        ],
         next_cursor=next_cursor if next_cursor < total else None,
         total=total,
     )
@@ -291,9 +300,18 @@ def oracle_page_band_power(
 # ----------------------------------------------------------------------
 
 
+def parent_page_body(snap: FleetSnapshot, page: Page) -> bytes:
+    """The whole-page renderer the fragment join replaced."""
+    return json.dumps(
+        {**page.to_dict(), "generation": snap.generation},
+        separators=(",", ":"),
+    ).encode()
+
+
 def _assert_same(snap, got, want):
     assert got == want
     assert _page_body(snap, got) == _page_body(snap, want)
+    assert _page_body(snap, got) == parent_page_body(snap, want)
 
 
 def _cursors(total):
@@ -397,6 +415,52 @@ class TestPagesMatchOracle:
         for i in range(snapshot.n_nodes):
             assert snapshot.node_row(i) == oracle_node_row(snapshot, i)
 
+    def test_items_decode_to_the_oracle_rows(self, snapshot):
+        page = snapshot.page_nodes(limit=1000)
+        assert page.items == [
+            oracle_node_row(snapshot, i) for i in range(snapshot.n_nodes)
+        ]
+        assert page.to_dict()["items"] == page.items
+
+    def test_nan_abs_power_rows_render_null(self, snapshot):
+        nan_rows = np.nonzero(
+            np.isnan(snapshot.columns.summary["abs_power_dbm"])
+        )[0]
+        for i in nan_rows.tolist():
+            page = snapshot.page_nodes(cursor=i, limit=1)
+            want = oracle_page_nodes(snapshot, cursor=i, limit=1)
+            _assert_same(snapshot, page, want)
+            assert page.items[0]["abs_power_dbm"] is None
+            assert b'"abs_power_dbm":null' in _page_body(snapshot, page)
+
+
+class TestEmptyFleetPages:
+    def test_every_page_matches_the_parent_renderer(self):
+        snap = FleetSnapshot({}, generation=2)
+        assert snap._node_json == []
+        for sort in SORTABLE:
+            for descending in (False, True):
+                for cursor in (0, 5):
+                    kwargs = dict(
+                        cursor=cursor, sort=sort, descending=descending
+                    )
+                    _assert_same(
+                        snap,
+                        snap.page_nodes(**kwargs),
+                        oracle_page_nodes(snap, **kwargs),
+                    )
+        for untrustworthy_only in (False, True):
+            _assert_same(
+                snap,
+                snap.page_trust(untrustworthy_only=untrustworthy_only),
+                oracle_page_trust(
+                    snap, untrustworthy_only=untrustworthy_only
+                ),
+            )
+        assert _page_body(snap, snap.page_nodes()) == (
+            b'{"items":[],"next_cursor":null,"total":0,"generation":2}'
+        )
+
 
 class TestColumnsMatchOracle:
     @pytest.mark.parametrize(
@@ -467,6 +531,7 @@ class TestMemoisedOrders:
         network, drift = _fleet(4)
         snap = FleetSnapshot(network, drift=drift, generation=1)
         assert snap._orders == {}
+        assert set(snap._node_json) == {None}
         queries = self._queries(snap)
         barrier = threading.Barrier(8)
         results: List[List[bytes]] = [[] for _ in range(8)]
@@ -484,6 +549,14 @@ class TestMemoisedOrders:
             t.join()
         want = self._run(snap, queries, oracle=True)
         assert all(r == want for r in results)
+        filled = [
+            i for i, fragment in enumerate(snap._node_json) if fragment
+        ]
+        assert filled
+        for i in filled:
+            assert snap._node_json[i] == json.dumps(
+                oracle_node_row(snap, i), separators=(",", ":")
+            )
 
     def test_publish_serves_new_data_not_old_orders(self):
         store = FleetStore()
@@ -493,14 +566,18 @@ class TestMemoisedOrders:
         queries = self._queries(old)
         old_pages = self._run(old, queries)
         assert old._orders  # the old snapshot memoised its orders
+        old_fragments = list(old._node_json)
+        assert any(old_fragments)
         store.publish(fleets[1][0], drift=fleets[1][1])
         new = store.current()
         assert new is not old and new._orders == {}
+        assert set(new._node_json) == {None}
         new_pages = self._run(new, queries)
         assert new_pages == self._run(new, queries, oracle=True)
         assert new_pages != old_pages
         # The old snapshot still answers from its own data.
         assert self._run(old, queries) == old_pages
+        assert old._node_json == old_fragments
 
     def test_memo_holds_one_entry_per_key(self):
         network, drift = _fleet(7)
@@ -534,3 +611,51 @@ class TestMemoisedOrders:
         assert set(snap._orders) == allowed
         assert len(snap._orders) == len(SORTABLE) - 1 + len(bands)
         assert snap.order("trust") is snap.order("trust")
+
+
+class TestRowFragments:
+    def _overlapping_queries(self):
+        for _ in range(2):
+            for sort in SORTABLE:
+                for descending in (False, True):
+                    for filters in NODE_FILTERS:
+                        for cursor in (0, 10):
+                            yield dict(
+                                cursor=cursor,
+                                limit=25,
+                                sort=sort,
+                                descending=descending,
+                                **filters,
+                            )
+
+    def test_each_row_is_built_and_encoded_once(self, monkeypatch):
+        network, drift = _fleet(8)
+        snap = FleetSnapshot(network, drift=drift, generation=1)
+        built: List[int] = []
+        encoded: List[Any] = []
+        node_rows = snap.node_rows
+        encode = store_module.json_fragment
+
+        def counting_rows(idx):
+            built.extend(idx.tolist())
+            return node_rows(idx)
+
+        def counting_encode(row):
+            encoded.append(row)
+            return encode(row)
+
+        monkeypatch.setattr(snap, "node_rows", counting_rows)
+        monkeypatch.setattr(store_module, "json_fragment", counting_encode)
+        served = 0
+        for kwargs in self._overlapping_queries():
+            got = snap.page_nodes(**kwargs)
+            served += len(got.fragments)
+            assert _page_body(snap, got) == parent_page_body(
+                snap, oracle_page_nodes(snap, **kwargs)
+            )
+        assert len(built) == len(set(built))
+        assert len(encoded) == len(built)
+        filled = {i for i, f in enumerate(snap._node_json) if f is not None}
+        assert filled == set(built)
+        # The queries overlap, so far more rows were served than built.
+        assert served > 2 * len(built)

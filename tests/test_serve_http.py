@@ -117,6 +117,21 @@ class TestEncodeResponse:
         payload = json.loads(response.body)
         assert "cursor" in payload["error"]
 
+    @given(st.text())
+    def test_json_error_round_trips_any_message(self, message):
+        response = json_error(404, message)
+        assert json.loads(response.body) == {"error": message}
+        response.body.decode("ascii")  # escaped, so framing stays ASCII
+
+    def test_percent_encoded_backslash_and_newline_parse(self):
+        for raw, segment in ((b"a%5Cq", "a\\q"), (b"a%0Ab", "a\nb")):
+            request = parse_request(
+                b"GET /v1/nodes/" + raw + b" HTTP/1.1\r\n", []
+            )
+            assert split_path(request.path)[-1] == segment
+            body = json_error(404, f"no such node: {segment}").body
+            assert json.loads(body) == {"error": f"no such node: {segment}"}
+
 
 class TestSplitPath:
     def test_segments(self):

@@ -41,7 +41,7 @@ from repro.core.network import NodeAssessment
 from repro.core.serialize import (
     SHAPE_ERRORS,
     assessment_from_dict,
-    assessment_to_dict,
+    assessment_to_json,
 )
 from repro.engines import (
     get_path_cache,
@@ -287,31 +287,42 @@ class FleetCampaign:
         self,
         ledger: Dict[str, JobLedgerEntry],
         assessments: Dict[str, NodeAssessment],
+        fragments: Dict[str, str],
     ) -> None:
+        """Rewrite the checkpoint: ``json.dumps`` of the manifest dict.
+
+        ``fragments`` holds each finished job's assessment JSON for the
+        rest of the run (a job's assessment is set once), so every
+        rewrite encodes only the jobs finished since the last one and
+        splices the stored text into the ``results`` object.
+        """
         path = self.config.checkpoint_path
         if path is None:
             return
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "jobs": {
-                e.job_id: {
-                    "key": e.key,
-                    "state": e.state,
-                    "source": e.source,
-                    "attempts": e.attempts,
-                    "errors": e.errors,
-                }
-                for e in ledger.values()
-            },
-            "results": {
-                job_id: assessment_to_dict(a)
-                for job_id, a in assessments.items()
-            },
+        jobs = {
+            e.job_id: {
+                "key": e.key,
+                "state": e.state,
+                "source": e.source,
+                "attempts": e.attempts,
+                "errors": e.errors,
+            }
+            for e in ledger.values()
         }
+        results = []
+        for job_id, assessment in assessments.items():
+            text = fragments.get(job_id)
+            if text is None:
+                text = fragments[job_id] = assessment_to_json(assessment)
+            results.append(f"{json.dumps(job_id)}: {text}")
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(manifest))
+        tmp.write_text(
+            f'{{"format": {json.dumps(MANIFEST_FORMAT)}, '
+            f'"jobs": {json.dumps(jobs)}, '
+            f'"results": {{{", ".join(results)}}}}}'
+        )
         os.replace(tmp, target)
 
     def _restore_from_manifest(
@@ -356,6 +367,7 @@ class FleetCampaign:
         metrics = MetricsRegistry()
         ledger: Dict[str, JobLedgerEntry] = {}
         assessments: Dict[str, NodeAssessment] = {}
+        fragments: Dict[str, str] = {}
         keys = {job.job_id: job.content_key() for job in self.jobs}
         manifest = self._load_manifest() if config.resume else {}
 
@@ -424,7 +436,7 @@ class FleetCampaign:
             )
             # Checkpoint after every terminal job: a kill at any
             # point loses at most the jobs still in flight.
-            self._write_manifest(ledger, assessments)
+            self._write_manifest(ledger, assessments, fragments)
 
         if to_run:
             _run_queue(
@@ -437,7 +449,7 @@ class FleetCampaign:
                 metrics=metrics,
                 on_outcome=on_outcome,
             )
-        self._write_manifest(ledger, assessments)
+        self._write_manifest(ledger, assessments, fragments)
 
         record_path_cache_metrics(metrics, path_cache_before)
         summary = metrics.summary()

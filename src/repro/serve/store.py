@@ -551,6 +551,7 @@ class FleetStore:
             metrics if metrics is not None else MetricsRegistry()
         )
         self._lock = threading.Lock()
+        self._publish_lock = threading.Lock()
         self._history: Deque[FleetSnapshot] = deque(maxlen=history)
         self._current = (
             snapshot
@@ -579,14 +580,21 @@ class FleetStore:
         failures: Optional[Mapping[str, AssessmentFailure]] = None,
         drift: Optional[Mapping[str, DriftStatus]] = None,
     ) -> FleetSnapshot:
-        """Build the next-generation snapshot and swap it in."""
-        snapshot = FleetSnapshot(
-            assessments,
-            failures=failures,
-            drift=drift,
-            generation=self.current().generation + 1,
-        )
-        self.swap(snapshot)
+        """Build the next-generation snapshot and swap it in.
+
+        Publishes are serialized from the generation read through the
+        swap, so each one gets its own generation and swaps land in
+        generation order (the response cache keys freshness on it).
+        Readers never wait on this lock, only on the swap itself.
+        """
+        with self._publish_lock:
+            snapshot = FleetSnapshot(
+                assessments,
+                failures=failures,
+                drift=drift,
+                generation=self.current().generation + 1,
+            )
+            self.swap(snapshot)
         return snapshot
 
     def history(self) -> List[FleetSnapshot]:

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.core.serialize import assessment_to_json
+import repro.runtime.campaign as campaign_module
+from repro.core.serialize import assessment_to_dict, assessment_to_json
 from repro.runtime.campaign import (
     CampaignConfig,
     FleetCampaign,
@@ -216,6 +217,98 @@ class TestCheckpointResume:
         ).run()
         assert result.state_counts() == {"done": 2}
         assert result.source_counts() == {"run": 2}
+
+
+class TestManifestWrites:
+    """Each rewrite splices stored per-job JSON into the manifest text."""
+
+    @staticmethod
+    def _dict_built(ckpt, assessments):
+        """The reference bytes: ``json.dumps`` of the manifest as a dict.
+
+        The ledger part is taken from the file itself (its order follows
+        completion, not job order); every result is encoded afresh with
+        ``assessment_to_dict``.
+        """
+        written = json.loads(ckpt.read_text())
+        return json.dumps(
+            {
+                "format": written["format"],
+                "jobs": written["jobs"],
+                "results": {
+                    job_id: assessment_to_dict(assessments[job_id])
+                    for job_id in written["results"]
+                },
+            }
+        )
+
+    @staticmethod
+    def _failing_on(job_id, runner):
+        def run(job):
+            if job.job_id == job_id:
+                raise RuntimeError(f"{job_id} crashed")
+            return runner(job)
+
+        return run
+
+    def test_manifest_bytes_equal_dict_built_manifest(
+        self, tmp_path, runner
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        jobs = _jobs("a", "b", "c", "d")
+        result = FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(ckpt)),
+            runner=self._failing_on("c", runner),
+        ).run()
+        assert result.state_counts() == {"done": 3, "failed": 1}
+        assert ckpt.read_text() == self._dict_built(ckpt, result.assessments)
+
+    def test_resumed_manifest_bytes_equal_dict_built_manifest(
+        self, tmp_path, runner
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        jobs = _jobs("a", "b", "c")
+        first = FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(ckpt), stop_after=2),
+            runner=runner,
+        ).run()
+        assert ckpt.read_text() == self._dict_built(ckpt, first.assessments)
+        resumed = FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(ckpt), resume=True),
+            runner=runner,
+        ).run()
+        assert resumed.source_counts() == {"checkpoint": 2, "run": 1}
+        assert ckpt.read_text() == self._dict_built(
+            ckpt, resumed.assessments
+        )
+
+    def test_each_finished_assessment_is_encoded_once(
+        self, tmp_path, runner, monkeypatch
+    ):
+        encoded = []
+
+        def counting(assessment):
+            encoded.append(assessment.node_id)
+            return assessment_to_json(assessment)
+
+        monkeypatch.setattr(campaign_module, "assessment_to_json", counting)
+        cache = ResultCache()
+        jobs = _jobs("a", "b", "c", "d", "e")
+        FleetCampaign(jobs[:2], cache=cache, runner=runner).run()
+        assert encoded == []  # no checkpoint, nothing written
+        result = FleetCampaign(
+            jobs,
+            config=CampaignConfig(checkpoint_path=str(tmp_path / "k.json")),
+            cache=cache,
+            runner=self._failing_on("d", runner),
+        ).run()
+        # Two restored from the cache and three run, one of which
+        # failed: four rewrites, but each result was encoded once.
+        assert result.source_counts() == {"cache": 2, "run": 3}
+        assert sorted(encoded) == ["a", "b", "c", "e"]
 
 
 class TestCheckpointFaults:

@@ -1,11 +1,16 @@
 """Serve store: columnar projection, pagination, snapshot swap."""
 
+import json
 import threading
 
 import numpy as np
 import pytest
 
+import repro.serve.store as store_module
+from repro.serve.app import SpectrumApp
+from repro.serve.cache import ResponseCache
 from repro.serve.columns import FleetColumns
+from repro.serve.http import Request
 from repro.serve.store import DriftStatus, FleetSnapshot, FleetStore
 from repro.serve.synthetic import synthetic_fleet
 
@@ -240,6 +245,94 @@ class TestSwap:
         second = store.publish(network)
         assert second.generation == first.generation + 1
         assert second.etag == first.etag
+
+
+class TestPublishRace:
+    """Concurrent publishes get unique generations, swapped in order.
+
+    Both tests hold a publish inside the snapshot build, after it has
+    read the current generation, so the interleaving that lost a
+    generation is forced rather than left to the scheduler.
+    """
+
+    def test_two_publishers_get_distinct_generations(self, monkeypatch):
+        barrier = threading.Barrier(2, timeout=0.5)
+
+        class Rendezvous(FleetSnapshot):
+            def __init__(self, *args, **kwargs):
+                # Serialized publishes never meet here: the first one
+                # times the barrier out, the second finds it broken.
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass
+                super().__init__(*args, **kwargs)
+
+        fleets = [synthetic_fleet(30, seed=s)[0] for s in (1, 2)]
+        store = FleetStore()
+        monkeypatch.setattr(store_module, "FleetSnapshot", Rendezvous)
+        threads = [
+            threading.Thread(target=store.publish, args=(network,))
+            for network in fleets
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        generations = [s.generation for s in store.history()]
+        assert generations == [0, 1, 2]
+        assert store.current().generation == 2
+
+    def test_cached_fleet_answer_follows_the_last_swap(self, monkeypatch):
+        """A body cached between two racing swaps is not served after.
+
+        The large fleet's publish is held mid-build while the small one
+        publishes and ``/v1/fleet`` is cached; then the large one
+        finishes. Whichever swap lands last, the answer must describe
+        the current snapshot.
+        """
+        small = synthetic_fleet(50, seed=3)[0]
+        large = synthetic_fleet(70, seed=4)[0]
+        held = threading.Event()
+        release = threading.Event()
+
+        class HoldLarge(FleetSnapshot):
+            def __init__(self, assessments, **kwargs):
+                if assessments is large:
+                    held.set()
+                    release.wait(timeout=5.0)
+                super().__init__(assessments, **kwargs)
+
+        store = FleetStore()
+        app = SpectrumApp(
+            store, cache=ResponseCache(ttl_s=60.0, clock=lambda: 0.0)
+        )
+        monkeypatch.setattr(store_module, "FleetSnapshot", HoldLarge)
+
+        def fleet_body():
+            request = Request("GET", "/v1/fleet", {}, {})
+            return json.loads(app.handle(request).body)
+
+        publish_large = threading.Thread(
+            target=store.publish, args=(large,)
+        )
+        publish_large.start()
+        assert held.wait(timeout=5.0)
+        publish_small = threading.Thread(
+            target=store.publish, args=(small,)
+        )
+        publish_small.start()
+        publish_small.join(timeout=1.0)
+        fleet_body()  # caches whatever is current between the swaps
+        release.set()
+        for t in (publish_large, publish_small):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        current = store.current()
+        answer = fleet_body()
+        assert answer["generation"] == current.generation == 2
+        assert answer["nodes"] == current.n_nodes
 
 
 class TestDriftStatus:

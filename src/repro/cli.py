@@ -14,10 +14,11 @@ Commands:
 - ``figure {1,2,3,4,fm}`` — regenerate one of the paper's figures as
   a terminal table.
 - ``trust`` — run the fabrication-detection experiment.
-- ``fleet [--workers N] [--cache-dir DIR] [--checkpoint FILE]
-  [--resume]`` — calibrate the 12-node fleet through the
-  :mod:`repro.runtime` campaign machinery (parallel workers, retries,
-  result cache, resumable checkpoints) and print the marketplace.
+- ``fleet [--workers N] [--cache-dir DIR] [--max-jobs N]`` —
+  calibrate the 12-node fleet through the :mod:`repro.runtime`
+  campaign machinery (parallel workers, retries, result cache) and
+  print the marketplace. A run stopped early resumes when rerun on
+  the same ``--cache-dir``.
 - ``schedule --windows N`` — compare measurement-scheduling
   strategies for a daily budget.
 - ``stream --source {replay,sim}`` — run the live ingest gateway:
@@ -163,18 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "recomputation on re-runs",
     )
     fleet_cmd.add_argument(
-        "--checkpoint", metavar="FILE",
-        help="campaign manifest, rewritten after every finished job",
-    )
-    fleet_cmd.add_argument(
-        "--resume", action="store_true",
-        help="restore completed jobs from --checkpoint and run only "
-        "the remainder",
-    )
-    fleet_cmd.add_argument(
         "--max-jobs", type=int, metavar="N",
         help="stop after N jobs (simulates a partial run; combine "
-        "with --checkpoint/--resume)",
+        "with --cache-dir, and a rerun on that directory resumes)",
     )
     fleet_cmd.add_argument(
         "--fail-node", metavar="NODE_ID",
@@ -439,12 +431,15 @@ def _cmd_trust(_args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print(
             f"--workers must be >= 1, got {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.max_jobs is not None and args.max_jobs < 0:
+        print(
+            f"--max-jobs must be >= 0, got {args.max_jobs}",
             file=sys.stderr,
         )
         return 2
@@ -466,8 +461,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         cache_dir=args.cache_dir,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
         max_jobs=args.max_jobs,
         fail_node=args.fail_node,
         path_cache=args.path_cache == "on",

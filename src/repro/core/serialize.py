@@ -6,9 +6,9 @@ them back) so results can be stored, diffed, and audited. Round-trip
 fidelity is tested for every record type.
 
 :func:`network_to_json` and :func:`assessment_to_json` return the text
-of ``json.dumps`` of the ``*_to_dict`` records, and two of its layouts
-are persisted formats: checkpoint manifests hold the default layout,
-and ``repro fleet --json`` writes campaign files with ``indent=2``.
+of ``json.dumps`` of the ``*_to_dict`` records. ``repro fleet --json``
+writes campaign files with ``indent=2``, a persisted format; the
+default layout is what the repository benchmark encodes per campaign.
 Readers parse the JSON and do not depend on the layout; the bytes are
 pinned so that files written before and after a change stay diffable.
 For those two layouts the functions write the text directly (see the
@@ -337,8 +337,8 @@ def abs_power_from_dict(data: Dict[str, Any]) -> AbsolutePowerCalibration:
 def assessment_to_dict(assessment: NodeAssessment) -> Dict[str, Any]:
     """Serialize a full node assessment.
 
-    This is the record the fleet runtime's result cache and campaign
-    checkpoints persist: everything the service concluded about one
+    This is the record the fleet runtime's result cache persists, and
+    a stopped campaign resumes from: everything the service concluded about one
     node, round-trippable through JSON.
     """
     return {

@@ -19,7 +19,7 @@ the cache rather than risk a wrong hit.
 
 The byte stream is a persisted format. Job keys
 (:meth:`repro.runtime.jobs.CalibrationJob.content_key`) name the
-``--cache-dir`` entries and the checkpoint manifest's job records, so
+``--cache-dir`` entries, which a stopped campaign resumes from, so
 any change to a tag, a length prefix or a field order orphans every
 cache written before it. ``tests/test_engines_contentkey.py`` pins
 the stream with golden digests and a reference walker.

@@ -8,8 +8,9 @@ uploads rejected outright. No human visited any site.
 
 Since the runtime PR the calibration itself goes through
 :mod:`repro.runtime`: every node becomes a :class:`CalibrationJob`
-executed by a worker pool with retries, a content-addressed result
-cache, and campaign checkpoints. ``workers=1`` (the default) is the
+executed by a worker pool with retries and a content-addressed result
+cache, which is also what a stopped campaign resumes from when it is
+rerun on the same ``cache_dir``. ``workers=1`` (the default) is the
 serial degenerate case — per-node seeds are assigned exactly as the
 historical ``evaluate_network`` loop did, so results are
 bit-identical to the pre-runtime path.
@@ -81,8 +82,6 @@ def run_fleet(
     workers: int = 1,
     executor: str = "thread",
     cache_dir: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
     max_jobs: Optional[int] = None,
     fail_node: Optional[str] = None,
     path_cache: bool = True,
@@ -99,8 +98,6 @@ def run_fleet(
         workers=workers,
         executor=executor,
         cache_dir=cache_dir,
-        checkpoint_path=checkpoint,
-        resume=resume,
         stop_after=max_jobs,
         path_cache=path_cache,
     )

@@ -17,7 +17,8 @@ in a for-loop" toward that fleet:
 - :mod:`repro.runtime.cache` — content-addressed result cache
   (memory + JSON-on-disk) so unchanged nodes skip recomputation;
 - :mod:`repro.runtime.campaign` — whole-fleet orchestration with
-  checkpoint/resume, partial-failure tolerance, and a summary ledger.
+  resume from the result cache, partial-failure tolerance, and a
+  summary ledger.
 
 Counters and latency percentiles come from
 :mod:`repro.core.metrics`, shared with the stream and serve layers.

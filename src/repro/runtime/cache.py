@@ -8,15 +8,18 @@ invalidation protocol needed).
 
 Two tiers: an in-memory dict, and optionally a directory of
 ``<key>.json`` envelopes (via :mod:`repro.core.serialize`) so warm
-results survive across processes and campaign runs. Disk writes are
-atomic (temp file + rename); a corrupt or unreadable entry is treated
-as a miss, never an error.
+results survive across processes and campaign runs. The directory is
+also what a killed campaign resumes from. Disk writes are atomic: each
+goes to its own uniquely named temp file and is renamed into place, so
+campaigns sharing a directory may write one key at once. A corrupt or
+unreadable entry is treated as a miss, never an error.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -89,9 +92,13 @@ class ResultCache:
             "assessment": assessment_to_dict(assessment),
         }
         path = self._path(key)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(envelope))
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_text(json.dumps(envelope))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __len__(self) -> int:
         return len(self._memory)

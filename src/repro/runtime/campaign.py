@@ -6,26 +6,20 @@ pool, in that order:
 
 1. jobs whose content key is already in the result cache are
    restored without recomputation;
-2. on ``--resume``, jobs recorded DONE in the checkpoint manifest
-   (with a matching content key) are restored from it;
-3. everything else is enqueued and executed with retries; a job that
+2. everything else is enqueued and executed with retries; a job that
    exhausts its attempts ends FAILED without sinking the campaign.
 
-After every terminal job the full manifest — per-job ledger plus the
-serialized assessments — is atomically rewritten to the checkpoint
-path, so a killed campaign resumes from its last completed job. A
-manifest that is unreadable, truncated, of another format or
-mis-shaped restores nothing, and every job runs. The summary ledger
-and metrics (jobs run, retries, cache hits, latency percentiles)
-make partial runs auditable.
+Every finished job is put into the result cache as it completes, so
+with ``cache_dir`` set a killed (or ``stop_after``-limited) campaign
+resumes from its last completed job: rerun it on the same directory
+and the done jobs are cache hits. Failed and deferred jobs are never
+cached, so they run again. The summary ledger and metrics (jobs run,
+retries, cache hits, latency percentiles) make partial runs auditable.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -38,11 +32,6 @@ from typing import (
 )
 
 from repro.core.network import NodeAssessment
-from repro.core.serialize import (
-    SHAPE_ERRORS,
-    assessment_from_dict,
-    assessment_to_json,
-)
 from repro.engines import (
     get_path_cache,
     path_cache_stats,
@@ -67,9 +56,6 @@ from repro.runtime.workers import run_queue as _run_queue
 
 if TYPE_CHECKING:
     from repro.experiments.common import World
-
-#: Checkpoint manifest schema version.
-MANIFEST_FORMAT = 1
 
 #: The paper-standard 12-node fleet: 4 rooftop, 4 window, 4 indoor;
 #: one damaged feedline, two cheating operators.
@@ -147,16 +133,16 @@ class CampaignConfig:
     workers: int = 1
     executor: str = "thread"
     cache_dir: Optional[str] = None
-    checkpoint_path: Optional[str] = None
-    resume: bool = False
     stop_after: Optional[int] = None  # run at most N jobs, then stop
     path_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
-        if self.resume and self.checkpoint_path is None:
-            raise ValueError("resume requires a checkpoint path")
+        if self.stop_after is not None and self.stop_after < 0:
+            raise ValueError(
+                f"stop_after must be >= 0: {self.stop_after}"
+            )
 
 
 @dataclass
@@ -166,7 +152,7 @@ class JobLedgerEntry:
     job_id: str
     key: str
     state: str  # "done" | "failed" | "pending"
-    source: str  # "run" | "cache" | "checkpoint" | "deferred"
+    source: str  # "run" | "cache" | "deferred"
     attempts: int = 0
     errors: List[str] = field(default_factory=list)
     duration_s: float = 0.0
@@ -264,84 +250,6 @@ class FleetCampaign:
             # serial workers instead of rebuilding it from its spec.
             seed_world_cache(WorldSpec.from_world(world), world)
 
-    # -- checkpointing ----------------------------------------------------
-
-    def _load_manifest(self) -> Dict:
-        path = self.config.checkpoint_path
-        if path is None or not Path(path).exists():
-            return {}
-        try:
-            manifest = json.loads(Path(path).read_text())
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != MANIFEST_FORMAT
-            or not isinstance(manifest.get("jobs"), dict)
-            or not isinstance(manifest.get("results"), dict)
-        ):
-            return {}  # mis-shaped reads like unreadable: run every job
-        return manifest
-
-    def _write_manifest(
-        self,
-        ledger: Dict[str, JobLedgerEntry],
-        assessments: Dict[str, NodeAssessment],
-        fragments: Dict[str, str],
-    ) -> None:
-        """Rewrite the checkpoint: ``json.dumps`` of the manifest dict.
-
-        ``fragments`` holds each finished job's assessment JSON for the
-        rest of the run (a job's assessment is set once), so every
-        rewrite encodes only the jobs finished since the last one and
-        splices the stored text into the ``results`` object.
-        """
-        path = self.config.checkpoint_path
-        if path is None:
-            return
-        jobs = {
-            e.job_id: {
-                "key": e.key,
-                "state": e.state,
-                "source": e.source,
-                "attempts": e.attempts,
-                "errors": e.errors,
-            }
-            for e in ledger.values()
-        }
-        results = []
-        for job_id, assessment in assessments.items():
-            text = fragments.get(job_id)
-            if text is None:
-                text = fragments[job_id] = assessment_to_json(assessment)
-            results.append(f"{json.dumps(job_id)}: {text}")
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(
-            f'{{"format": {json.dumps(MANIFEST_FORMAT)}, '
-            f'"jobs": {json.dumps(jobs)}, '
-            f'"results": {{{", ".join(results)}}}}}'
-        )
-        os.replace(tmp, target)
-
-    def _restore_from_manifest(
-        self, manifest: Dict, job: CalibrationJob, key: str
-    ) -> Optional[NodeAssessment]:
-        """A DONE assessment from the checkpoint, if keys still match."""
-        entry = manifest["jobs"].get(job.job_id)
-        if not isinstance(entry, dict) or entry.get("state") != "done":
-            return None
-        if entry.get("key") != key:
-            return None  # config changed since the checkpoint
-        stored = manifest["results"].get(job.job_id)
-        if stored is None:
-            return None
-        try:
-            return assessment_from_dict(stored)
-        except SHAPE_ERRORS:
-            return None
-
     # -- the run ----------------------------------------------------------
 
     def run(self) -> CampaignResult:
@@ -367,28 +275,11 @@ class FleetCampaign:
         metrics = MetricsRegistry()
         ledger: Dict[str, JobLedgerEntry] = {}
         assessments: Dict[str, NodeAssessment] = {}
-        fragments: Dict[str, str] = {}
         keys = {job.job_id: job.content_key() for job in self.jobs}
-        manifest = self._load_manifest() if config.resume else {}
 
         to_run: List[CalibrationJob] = []
         for job in self.jobs:
             key = keys[job.job_id]
-            restored = (
-                self._restore_from_manifest(manifest, job, key)
-                if manifest
-                else None
-            )
-            if restored is not None:
-                assessments[job.job_id] = restored
-                ledger[job.job_id] = JobLedgerEntry(
-                    job_id=job.job_id,
-                    key=key,
-                    state="done",
-                    source="checkpoint",
-                )
-                metrics.incr("restored_from_checkpoint")
-                continue
             cached = self.cache.get(key)
             if cached is not None:
                 assessments[job.job_id] = cached
@@ -420,6 +311,8 @@ class FleetCampaign:
             if outcome.state is JobState.DONE:
                 assert outcome.assessment is not None
                 assessments[outcome.job_id] = outcome.assessment
+                # Cache every finished job at once: with a cache_dir,
+                # a kill at any point loses only the jobs in flight.
                 self.cache.put(key, outcome.assessment)
             ledger[outcome.job_id] = JobLedgerEntry(
                 job_id=outcome.job_id,
@@ -434,9 +327,6 @@ class FleetCampaign:
                 errors=list(outcome.errors),
                 duration_s=outcome.duration_s,
             )
-            # Checkpoint after every terminal job: a kill at any
-            # point loses at most the jobs still in flight.
-            self._write_manifest(ledger, assessments, fragments)
 
         if to_run:
             _run_queue(
@@ -449,7 +339,6 @@ class FleetCampaign:
                 metrics=metrics,
                 on_outcome=on_outcome,
             )
-        self._write_manifest(ledger, assessments, fragments)
 
         record_path_cache_metrics(metrics, path_cache_before)
         summary = metrics.summary()

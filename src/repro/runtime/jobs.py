@@ -1,7 +1,7 @@
 """Calibration job specs: what to run, described by value.
 
 A job must be (a) picklable, so process-pool workers can receive it,
-(b) tiny, so queues and checkpoints stay cheap, and (c) fully
+(b) tiny, so queues stay cheap, and (c) fully
 deterministic, so two runs of the same job produce bit-identical
 assessments. Jobs therefore carry *specifications* — the world seed
 and the node's configuration — rather than live objects; workers
@@ -9,9 +9,9 @@ rebuild the heavy simulation state on their side (and cache it per
 process, see :mod:`repro.runtime.workers`).
 
 The :meth:`CalibrationJob.content_key` hash over (node config, world
-seed, pipeline version) is the identity the result cache and campaign
-checkpoints are addressed by: change any input that could change the
-assessment and the key changes with it.
+seed, pipeline version) is the identity the result cache, and so a
+resumed campaign, is addressed by: change any input that could change
+the assessment and the key changes with it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ if TYPE_CHECKING:
 
 #: Version of the calibration pipeline baked into every content key.
 #: Bump whenever a change anywhere in the pipeline can alter
-#: assessment results, so stale cache entries and checkpoints are
-#: invalidated instead of silently reused.
+#: assessment results, so stale cache entries are invalidated instead
+#: of silently reused.
 PIPELINE_VERSION = "1.0.0"
 
 

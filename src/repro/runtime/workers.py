@@ -229,7 +229,8 @@ def run_queue(
     """Drain the queue; return terminal outcomes keyed by job id.
 
     ``on_outcome`` fires after every job reaches a terminal state —
-    the campaign's checkpoint hook. ``runner`` is injectable so tests
+    the campaign uses it to cache each result as it finishes, so a
+    killed run resumes from there. ``runner`` is injectable so tests
     can exercise retry scheduling without running real calibrations.
     """
     retry_policy = retry_policy or RetryPolicy()

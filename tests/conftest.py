@@ -22,7 +22,7 @@ def rng() -> np.random.Generator:
 def make_assessment():
     """Factory for small synthetic NodeAssessments.
 
-    Runtime tests (cache, campaign checkpoints) need serializable
+    Runtime tests (cache, campaign resume) need serializable
     assessments without paying for a full calibration run each time.
     """
     from repro.core.classify import Classification, InstallationFeatures

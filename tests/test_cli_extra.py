@@ -10,45 +10,22 @@ class TestFleetCommand:
         assert "Rejected" in out
         assert "rooftop-0" in out
 
-    def test_fleet_resume_requires_checkpoint(self, capsys):
-        assert main(["fleet", "--resume"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
+    def test_fleet_negative_max_jobs_rejected(self, capsys):
+        assert main(["fleet", "--max-jobs", "-1"]) == 2
+        assert "--max-jobs" in capsys.readouterr().err
 
     def test_fleet_checkpoint_then_resume(self, tmp_path, capsys):
-        # Run the first two jobs, checkpoint, then resume the next
-        # two — the resumed run must restore rather than recompute.
-        ckpt = str(tmp_path / "ckpt.json")
-        assert (
-            main(
-                [
-                    "fleet",
-                    "--max-jobs",
-                    "2",
-                    "--checkpoint",
-                    ckpt,
-                ]
-            )
-            == 0
-        )
+        # Run the first two jobs into the cache directory, then rerun
+        # on it: the two done jobs come from the cache, two more run.
+        args = ["fleet", "--max-jobs", "2", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
         first = capsys.readouterr().out
         assert "2 done" in first
         assert "10 pending" in first
 
-        assert (
-            main(
-                [
-                    "fleet",
-                    "--max-jobs",
-                    "2",
-                    "--checkpoint",
-                    ckpt,
-                    "--resume",
-                ]
-            )
-            == 0
-        )
+        assert main(args) == 0
         second = capsys.readouterr().out
-        assert "2 from checkpoint" in second
+        assert "2 from cache" in second
         assert "4 done" in second
 
 

@@ -3,10 +3,10 @@
 Called without keyword arguments or with ``indent`` alone,
 ``network_to_json`` and ``assessment_to_json`` write straight from the
 objects. ``json.dumps`` of ``network_to_dict`` / ``assessment_to_dict``
-with the same arguments is the reference, byte for byte. Both layouts
-are persisted (checkpoint manifests hold the default one, ``repro fleet
---json`` files the ``indent=2`` one), so two standard campaigns are
-also pinned by digest in each.
+with the same arguments is the reference, byte for byte. ``repro fleet
+--json`` files persist the ``indent=2`` layout and the repository
+benchmark encodes the default one, so two standard campaigns are also
+pinned by digest in each.
 """
 
 import hashlib

@@ -128,11 +128,10 @@ def test_capture_restore_rng_round_trip():
 
 # -- the persisted byte stream ----------------------------------------
 #
-# Job keys name ``--cache-dir`` files and checkpoint records, so the
-# walker's byte stream must never drift. ``_update`` below is the
-# original recursive walker, kept verbatim as the reference: every
-# digest the module produces must equal the one this oracle feeds
-# blake2b.
+# Job keys name ``--cache-dir`` files, so the walker's byte stream
+# must never drift. ``_update`` below is the original recursive
+# walker, kept verbatim as the reference: every digest the module
+# produces must equal the one this oracle feeds blake2b.
 
 
 def _class_fields(cls):
@@ -354,7 +353,7 @@ def test_type_precedence_matches_reference(value):
 
 
 #: Digests of fixed values, computed with the original walker. A change
-#: here orphans every ``--cache-dir`` entry and checkpoint record.
+#: here orphans every ``--cache-dir`` entry.
 _TOWERS = (
     TvTower("K22CC", 22, GeoPoint(37.5, -122.1, 350.0), 76.5),
     TvTower("KCCC", 31, GeoPoint(37.2, -121.8, 600.0)),

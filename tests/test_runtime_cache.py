@@ -1,6 +1,8 @@
 """Tests for repro.runtime.cache — hits, misses, invalidation, disk."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -73,6 +75,40 @@ class TestDiskCache:
             cache.put(_key(seed=i), make_assessment("n0"))
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.json"))) == 3
+
+    def test_concurrent_writers_of_one_key(self, tmp_path, make_assessment):
+        # Campaigns sharing a directory may finish the same job at once;
+        # no writer may see another's temp file vanish under it.
+        key = _key()
+        assessment = make_assessment("n0")
+        caches = [ResultCache(tmp_path) for _ in range(4)]
+        start = threading.Barrier(len(caches))
+        errors = []
+
+        def write(cache):
+            start.wait()
+            try:
+                for _ in range(200):
+                    cache.put(key, assessment)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(c,)) for c in caches
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert not list(tmp_path.glob("*.tmp"))
+        assert ResultCache(tmp_path).get(key).node_id == "n0"
 
 
 class TestDiskFaults:

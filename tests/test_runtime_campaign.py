@@ -1,21 +1,21 @@
-"""Tests for repro.runtime.campaign — ledger, checkpoints, resume.
+"""Tests for repro.runtime.campaign — ledger, cache, resume.
 
 Campaign mechanics are exercised with an injected runner that returns
-synthetic assessments, so these tests do not run real calibrations;
+synthetic assessments. Only :class:`TestStandardFleetResume` runs real
+calibrations, to pin resume from the cache byte for byte; the rest of
 the end-to-end runtime path is covered by the fleet experiment tests
 and the runtime benchmark.
 """
 
-import json
-
 import pytest
 
-import repro.runtime.campaign as campaign_module
-from repro.core.serialize import assessment_to_dict, assessment_to_json
+from repro.core.network import NetworkAssessments
+from repro.core.serialize import assessment_to_json, network_to_json
 from repro.runtime.campaign import (
     CampaignConfig,
     FleetCampaign,
     fleet_jobs,
+    run_fleet_campaign,
     standard_fleet_specs,
 )
 from repro.runtime.cache import ResultCache
@@ -132,9 +132,11 @@ class TestCampaignRun:
 
 
 class TestCheckpointResume:
+    """The cache directory is the checkpoint: a rerun resumes from it."""
+
     def test_stop_after_defers_remaining(self, tmp_path, runner):
         config = CampaignConfig(
-            checkpoint_path=str(tmp_path / "ckpt.json"), stop_after=2
+            cache_dir=str(tmp_path / "cache"), stop_after=2
         )
         result = FleetCampaign(
             _jobs("a", "b", "c", "d"), config=config, runner=runner
@@ -143,38 +145,42 @@ class TestCheckpointResume:
         assert result.source_counts() == {"run": 2, "deferred": 2}
         assert runner.calls == ["a", "b"]
 
+    def test_negative_stop_after_rejected(self):
+        with pytest.raises(ValueError, match="stop_after"):
+            CampaignConfig(stop_after=-1)
+
     def test_resume_completes_only_remaining(self, tmp_path, runner):
-        ckpt = str(tmp_path / "ckpt.json")
+        cache_dir = str(tmp_path / "cache")
         jobs = _jobs("a", "b", "c", "d")
         FleetCampaign(
             jobs,
-            config=CampaignConfig(checkpoint_path=ckpt, stop_after=2),
+            config=CampaignConfig(cache_dir=cache_dir, stop_after=2),
             runner=runner,
         ).run()
 
         resumed = FleetCampaign(
             jobs,
-            config=CampaignConfig(checkpoint_path=ckpt, resume=True),
+            config=CampaignConfig(cache_dir=cache_dir),
             runner=runner,
         ).run()
         assert runner.calls == ["a", "b", "c", "d"]  # no re-runs
-        assert resumed.source_counts() == {"checkpoint": 2, "run": 2}
+        assert resumed.source_counts() == {"cache": 2, "run": 2}
         assert resumed.state_counts() == {"done": 4}
         assert resumed.metrics["jobs_done"] == 2
-        assert resumed.metrics["restored_from_checkpoint"] == 2
+        assert resumed.metrics["cache_hits"] == 2
 
-    def test_resume_equivalence(self, tmp_path, runner, make_assessment):
+    def test_resume_equivalence(self, tmp_path, runner):
         """Interrupted + resumed == one uninterrupted run."""
         jobs = _jobs("a", "b", "c")
-        ckpt = str(tmp_path / "ckpt.json")
+        cache_dir = str(tmp_path / "cache")
         FleetCampaign(
             jobs,
-            config=CampaignConfig(checkpoint_path=ckpt, stop_after=1),
+            config=CampaignConfig(cache_dir=cache_dir, stop_after=1),
             runner=runner,
         ).run()
         resumed = FleetCampaign(
             jobs,
-            config=CampaignConfig(checkpoint_path=ckpt, resume=True),
+            config=CampaignConfig(cache_dir=cache_dir),
             runner=runner,
         ).run()
 
@@ -186,207 +192,76 @@ class TestCheckpointResume:
             ) == assessment_to_json(clean.assessments[job_id])
 
     def test_resume_ignores_stale_keys(self, tmp_path, runner):
-        # A config change after the checkpoint (different seeds here)
+        # A config change after the first run (different seeds here)
         # changes content keys, so nothing stale is restored.
-        ckpt = str(tmp_path / "ckpt.json")
-        FleetCampaign(
-            _jobs("a", "b"),
-            config=CampaignConfig(checkpoint_path=ckpt),
-            runner=runner,
-        ).run()
+        config = CampaignConfig(cache_dir=str(tmp_path / "cache"))
+        FleetCampaign(_jobs("a", "b"), config=config, runner=runner).run()
         result = FleetCampaign(
-            _jobs("a", "b", seed=99),
-            config=CampaignConfig(checkpoint_path=ckpt, resume=True),
-            runner=runner,
+            _jobs("a", "b", seed=99), config=config, runner=runner
         ).run()
         assert result.source_counts() == {"run": 2}
         assert len(runner.calls) == 4
 
-    def test_resume_without_checkpoint_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            CampaignConfig(resume=True)
+    def test_failed_job_reruns_on_resume(self, tmp_path, make_assessment):
+        calls = []
 
-    def test_missing_checkpoint_file_runs_everything(
-        self, tmp_path, runner
-    ):
-        config = CampaignConfig(
-            checkpoint_path=str(tmp_path / "nope.json"), resume=True
-        )
+        def runner(job):
+            calls.append(job.job_id)
+            if job.job_id == "b" and calls.count("b") == 1:
+                raise RuntimeError("node crashed")
+            return make_assessment(job.node.node_id)
+
+        config = CampaignConfig(cache_dir=str(tmp_path / "cache"))
+        first = FleetCampaign(
+            _jobs("a", "b"), config=config, runner=runner
+        ).run()
+        assert first.state_counts() == {"done": 1, "failed": 1}
+        resumed = FleetCampaign(
+            _jobs("a", "b"), config=config, runner=runner
+        ).run()
+        assert resumed.source_counts() == {"cache": 1, "run": 1}
+        assert resumed.state_counts() == {"done": 2}
+        assert calls == ["a", "b", "b"]
+
+    def test_missing_cache_dir_runs_everything(self, tmp_path, runner):
+        cache_dir = tmp_path / "nope" / "cache"
+        config = CampaignConfig(cache_dir=str(cache_dir))
         result = FleetCampaign(
             _jobs("a", "b"), config=config, runner=runner
         ).run()
         assert result.state_counts() == {"done": 2}
         assert result.source_counts() == {"run": 2}
+        assert len(list(cache_dir.glob("*.json"))) == 2
 
 
-class TestManifestWrites:
-    """Each rewrite splices stored per-job JSON into the manifest text."""
+class TestStandardFleetResume:
+    """A real campaign stopped after any job resumes byte-identically."""
 
-    @staticmethod
-    def _dict_built(ckpt, assessments):
-        """The reference bytes: ``json.dumps`` of the manifest as a dict.
+    def test_stop_after_every_k_then_rerun(self, tmp_path, world):
+        def campaign_json(result):
+            return network_to_json(
+                NetworkAssessments(result.assessments), indent=2
+            )
 
-        The ledger part is taken from the file itself (its order follows
-        completion, not job order); every result is encoded afresh with
-        ``assessment_to_dict``.
-        """
-        written = json.loads(ckpt.read_text())
-        return json.dumps(
-            {
-                "format": written["format"],
-                "jobs": written["jobs"],
-                "results": {
-                    job_id: assessment_to_dict(assessments[job_id])
-                    for job_id in written["results"]
-                },
-            }
-        )
+        def nonzero(**counts):
+            return {name: n for name, n in counts.items() if n}
 
-    @staticmethod
-    def _failing_on(job_id, runner):
-        def run(job):
-            if job.job_id == job_id:
-                raise RuntimeError(f"{job_id} crashed")
-            return runner(job)
-
-        return run
-
-    def test_manifest_bytes_equal_dict_built_manifest(
-        self, tmp_path, runner
-    ):
-        ckpt = tmp_path / "ckpt.json"
-        jobs = _jobs("a", "b", "c", "d")
-        result = FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(ckpt)),
-            runner=self._failing_on("c", runner),
-        ).run()
-        assert result.state_counts() == {"done": 3, "failed": 1}
-        assert ckpt.read_text() == self._dict_built(ckpt, result.assessments)
-
-    def test_resumed_manifest_bytes_equal_dict_built_manifest(
-        self, tmp_path, runner
-    ):
-        ckpt = tmp_path / "ckpt.json"
-        jobs = _jobs("a", "b", "c")
-        first = FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(ckpt), stop_after=2),
-            runner=runner,
-        ).run()
-        assert ckpt.read_text() == self._dict_built(ckpt, first.assessments)
-        resumed = FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(ckpt), resume=True),
-            runner=runner,
-        ).run()
-        assert resumed.source_counts() == {"checkpoint": 2, "run": 1}
-        assert ckpt.read_text() == self._dict_built(
-            ckpt, resumed.assessments
-        )
-
-    def test_each_finished_assessment_is_encoded_once(
-        self, tmp_path, runner, monkeypatch
-    ):
-        encoded = []
-
-        def counting(assessment):
-            encoded.append(assessment.node_id)
-            return assessment_to_json(assessment)
-
-        monkeypatch.setattr(campaign_module, "assessment_to_json", counting)
-        cache = ResultCache()
-        jobs = _jobs("a", "b", "c", "d", "e")
-        FleetCampaign(jobs[:2], cache=cache, runner=runner).run()
-        assert encoded == []  # no checkpoint, nothing written
-        result = FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(tmp_path / "k.json")),
-            cache=cache,
-            runner=self._failing_on("d", runner),
-        ).run()
-        # Two restored from the cache and three run, one of which
-        # failed: four rewrites, but each result was encoded once.
-        assert result.source_counts() == {"cache": 2, "run": 3}
-        assert sorted(encoded) == ["a", "b", "c", "e"]
-
-
-class TestCheckpointFaults:
-    """A damaged manifest never aborts ``--resume``; jobs just run."""
-
-    def _interrupted(self, tmp_path, runner, jobs):
-        ckpt = tmp_path / "ckpt.json"
-        FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(ckpt), stop_after=2),
-            runner=runner,
-        ).run()
-        return ckpt
-
-    def _resume(self, ckpt, runner, jobs):
-        return FleetCampaign(
-            jobs,
-            config=CampaignConfig(checkpoint_path=str(ckpt), resume=True),
-            runner=runner,
-        ).run()
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            [],
-            3,
-            {"format": 1, "jobs": [], "results": {}},
-            {"format": 1, "jobs": {}, "results": []},
-            {"format": 1, "jobs": {"a": 3, "b": []}, "results": {}},
-        ],
-    )
-    def test_mis_shaped_manifest_runs_every_job(
-        self, tmp_path, runner, payload
-    ):
-        ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(json.dumps(payload))
-        result = self._resume(ckpt, runner, _jobs("a", "b"))
-        assert result.state_counts() == {"done": 2}
-        assert result.source_counts() == {"run": 2}
-
-    def test_mis_shaped_stored_result_reruns_that_job(
-        self, tmp_path, runner
-    ):
-        jobs = _jobs("a", "b", "c")
-        ckpt = self._interrupted(tmp_path, runner, jobs)
-        manifest = json.loads(ckpt.read_text())
-        manifest["results"]["a"]["report"]["scan"] = []
-        ckpt.write_text(json.dumps(manifest))
-        result = self._resume(ckpt, runner, jobs)
-        assert result.source_counts() == {"checkpoint": 1, "run": 2}
-        assert runner.calls == ["a", "b", "a", "c"]
-
-    def test_truncated_manifest_runs_every_job(self, tmp_path, runner):
-        jobs = _jobs("a", "b", "c")
-        ckpt = self._interrupted(tmp_path, runner, jobs)
-        text = ckpt.read_text()
-        ckpt.write_text(text[: len(text) // 2])
-        result = self._resume(ckpt, runner, jobs)
-        assert result.source_counts() == {"run": 3}
-
-    def test_wrong_format_runs_every_job(self, tmp_path, runner):
-        jobs = _jobs("a", "b", "c")
-        ckpt = self._interrupted(tmp_path, runner, jobs)
-        manifest = json.loads(ckpt.read_text())
-        manifest["format"] += 1
-        ckpt.write_text(json.dumps(manifest))
-        result = self._resume(ckpt, runner, jobs)
-        assert result.source_counts() == {"run": 3}
-
-    def test_stale_tmp_beside_complete_manifest(self, tmp_path, runner):
-        # Killed between writing the next manifest's temp file and the
-        # rename: resume reads the last complete manifest only.
-        jobs = _jobs("a", "b", "c")
-        ckpt = self._interrupted(tmp_path, runner, jobs)
-        text = ckpt.read_text()
-        tmp = ckpt.with_name(ckpt.name + ".tmp")
-        tmp.write_text(text[: len(text) // 3])
-        result = self._resume(ckpt, runner, jobs)
-        assert result.source_counts() == {"checkpoint": 2, "run": 1}
-        assert runner.calls == ["a", "b", "c"]
-        assert result.state_counts() == {"done": 3}
+        clean = run_fleet_campaign(world=world)
+        assert clean.state_counts() == {"done": 12}
+        expected = campaign_json(clean)
+        for k in range(13):
+            cache_dir = str(tmp_path / f"cache-{k}")
+            first = run_fleet_campaign(
+                world=world,
+                config=CampaignConfig(cache_dir=cache_dir, stop_after=k),
+            )
+            assert first.state_counts() == nonzero(
+                done=k, pending=12 - k
+            )
+            resumed = run_fleet_campaign(
+                world=world, config=CampaignConfig(cache_dir=cache_dir)
+            )
+            assert resumed.source_counts() == nonzero(
+                cache=k, run=12 - k
+            )
+            assert campaign_json(resumed) == expected

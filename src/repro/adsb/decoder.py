@@ -133,13 +133,34 @@ class Dump1090Decoder:
     receiver_position: Optional[GeoPoint] = None
     max_range_km: float = 400.0
     fix_errors: bool = False
-    _cpr: Dict[IcaoAddress, _CprState] = field(default_factory=dict)
+    _cpr_states: Dict[IcaoAddress, _CprState] = field(default_factory=dict)
+    #: Batch position updates not yet applied to ``_cpr_states``, in
+    #: decode order: ``(position row indices, icao24, ME field,
+    #: receive times)`` per :meth:`decode_frame_matrix` call.
+    _cpr_pending: List[
+        Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ] = field(default_factory=list)
 
     #: Counters mirroring dump1090's statistics output.
     frames_seen: int = 0
     frames_bad_crc: int = 0
     frames_fixed: int = 0
     messages_decoded: int = 0
+
+    @property
+    def _cpr(self) -> Dict[IcaoAddress, _CprState]:
+        """Per-aircraft CPR pair state, with every batch update applied.
+
+        :meth:`decode_frame_matrix` only queues its position rows: the
+        directional scan never reads the state, so the per-aircraft
+        writes are paid on the first read (a scalar decode or a test)
+        instead of on every batch.
+        """
+        if self._cpr_pending:
+            pending, self._cpr_pending = self._cpr_pending, []
+            for update in pending:
+                self._advance_cpr_state(*update)
+        return self._cpr_states
 
     def decode_frame_bytes(
         self, data: bytes, time_s: float, rssi_dbfs: float
@@ -188,7 +209,8 @@ class Dump1090Decoder:
         Position rows advance the per-aircraft CPR pair state (so a
         later scalar decode sees the same history) but are not
         resolved to lat/lon: batch consumers — the directional scan —
-        use only the decode tally, never per-message positions.
+        use only the decode tally, never per-message positions. The
+        advance is queued and applied when the state is next read.
         """
         d = np.asarray(data, dtype=np.uint8)
         lens = np.asarray(lengths, dtype=np.int64)
@@ -269,11 +291,13 @@ class Dump1090Decoder:
         self.messages_decoded += int(decoded.sum())
 
         if position.any():
-            self._advance_cpr_state(
-                np.flatnonzero(position),
-                icao24,
-                me,
-                np.asarray(times_s, dtype=np.float64),
+            self._cpr_pending.append(
+                (
+                    np.flatnonzero(position),
+                    icao24,
+                    me,
+                    np.array(times_s, dtype=np.float64),
+                )
             )
         return BatchDecodeResult(
             decoded=decoded, icao24=icao24, kind_code=kind_code
@@ -298,7 +322,7 @@ class Dump1090Decoder:
         last = pos_idx.size - 1 - last_rev
         for k, j in zip(uniq.tolist(), last.tolist()):
             row = int(pos_idx[j])
-            state = self._cpr.setdefault(
+            state = self._cpr_states.setdefault(
                 IcaoAddress(int(k) // 2), _CprState()
             )
             state.update(

@@ -80,15 +80,17 @@ class RouteLegs:
 
     Element i holds ``routes[route_idx[i]]``'s constants, gathered
     once so a schedule that samples the same routes at many jittered
-    times pays for the gather (and the per-start ``math`` calls) only
+    times pays for the gather (and the per-route trigonometry) only
     once.
 
     Attributes:
         sin_lat0 / cos_lat0: sine and cosine of the start latitude.
         lon0_rad: start longitude, radians.
         alt_m: constant altitude.
-        track_deg: initial great-circle bearing.
-        back_deg: the reverse bearing, ``(track + 180) % 360``.
+        sin_track / cos_track: sine and cosine of the initial
+            great-circle bearing.
+        sin_back / cos_back: sine and cosine of the reverse bearing,
+            ``(track + 180) % 360``.
         speed_ms: ground speed.
         start_time_s: when the aircraft is at the start point.
     """
@@ -97,8 +99,10 @@ class RouteLegs:
     cos_lat0: np.ndarray
     lon0_rad: np.ndarray
     alt_m: np.ndarray
-    track_deg: np.ndarray
-    back_deg: np.ndarray
+    sin_track: np.ndarray
+    cos_track: np.ndarray
+    sin_back: np.ndarray
+    cos_back: np.ndarray
     speed_ms: np.ndarray
     start_time_s: np.ndarray
 
@@ -106,16 +110,25 @@ class RouteLegs:
     def gather(
         cls, routes: Sequence[GreatCircleRoute], route_idx: np.ndarray
     ) -> "RouteLegs":
-        def per_element(values) -> np.ndarray:
-            return np.array(list(values), dtype=np.float64)[route_idx]
+        def per_route(values) -> np.ndarray:
+            return np.array(list(values), dtype=np.float64)
 
+        def per_element(values) -> np.ndarray:
+            return per_route(values)[route_idx]
+
+        # The bearing terms are the numpy ufuncs sample_routes would
+        # otherwise apply per element, evaluated once per route.
+        track = np.radians(per_route(r.track_deg for r in routes))
+        back = np.radians(per_route(_backwards(r) for r in routes))
         return cls(
             sin_lat0=per_element(math.sin(r.start.lat_rad) for r in routes),
             cos_lat0=per_element(math.cos(r.start.lat_rad) for r in routes),
             lon0_rad=per_element(r.start.lon_rad for r in routes),
             alt_m=per_element(r.start.alt_m for r in routes),
-            track_deg=per_element(r.track_deg for r in routes),
-            back_deg=per_element(_backwards(r) for r in routes),
+            sin_track=np.sin(track)[route_idx],
+            cos_track=np.cos(track)[route_idx],
+            sin_back=np.sin(back)[route_idx],
+            cos_back=np.cos(back)[route_idx],
             speed_ms=per_element(r.speed_ms for r in routes),
             start_time_s=per_element(r.start_time_s for r in routes),
         )
@@ -154,9 +167,14 @@ def sample_routes(
     elapsed, distance = _leg_distance_m(
         legs.speed_ms, legs.start_time_s, times_s
     )
-    bearing = np.where(elapsed >= 0, legs.track_deg, legs.back_deg)
+    forward = elapsed >= 0
     return destination_point_arrays(
-        legs.sin_lat0, legs.cos_lat0, legs.lon0_rad, bearing, distance
+        legs.sin_lat0,
+        legs.cos_lat0,
+        legs.lon0_rad,
+        np.where(forward, legs.sin_track, legs.sin_back),
+        np.where(forward, legs.cos_track, legs.cos_back),
+        distance,
     )
 
 

@@ -18,6 +18,7 @@ from repro.batch.schedule import BatchSquitters
 from repro.engines.pathcache import StageValue, get_path_cache
 from repro.environment.obstruction import ObstructionMap
 from repro.geo.coords import GeoPoint, geo_to_enu_arrays
+from repro.geo.sectors import wrap_360_array
 
 
 @dataclass
@@ -48,7 +49,7 @@ def rays_from_enu(
     ``atan2(0, 0) = 0`` for the degenerate straight-up ray and the
     >= 1 m slant clamp of ``ray_geometry``.
     """
-    azimuth = np.degrees(np.arctan2(east, north)) % 360.0
+    azimuth = wrap_360_array(np.degrees(np.arctan2(east, north)))
     horiz = np.hypot(east, north)
     elevation = np.degrees(np.arctan2(up, horiz))
     slant = np.sqrt(east**2 + north**2 + up**2)

@@ -115,38 +115,37 @@ def _received_power_compute(
     b_span = int(block.max()) - b_min + 1
     n_keys = int(ai.max()) + 1
     fade_key = ai * b_span + (block - b_min)
-    is_new_fade = first_occurrence(fade_key, n_keys * b_span)[
-        fade_key
-    ] == np.arange(n)
+    first_by_key = first_occurrence(fade_key, n_keys * b_span)
+    is_new_fade = first_by_key[fade_key] == np.arange(n)
+    # An aircraft's first event opens its earliest fading key.
+    first = first_by_key.reshape(n_keys, b_span).min(axis=1)
 
     # One batched draw covering the whole capture: 2 candidates per
     # event + 2 Rician quadratures per new fading key, laid out in
-    # event order.
-    counts = 2 + 2 * is_new_fade.astype(np.int64)
-    ends = np.cumsum(counts)
-    offsets = ends - counts
-    z = rng.standard_normal(int(ends[-1]))
+    # event order. So event i's draws start at 2 * i plus 2 per key
+    # opened before it; only the key-opening events' offsets are read.
+    opened = np.flatnonzero(is_new_fade)
+    new = 2 * opened + 2 * np.arange(opened.size)
+    z = rng.standard_normal(2 * n + 2 * opened.size)
 
-    # Every event reads its aircraft's first-event candidates.
-    a_first = offsets[first_occurrence(ai, n_keys)[ai]]
-    shadow = env.shadowing_sigma_db * z[a_first]
+    # Every event reads its aircraft's first-event candidates, so the
+    # shadowing and the leakage path's relative power are per-aircraft
+    # values. A first event opens a key; an aircraft without events
+    # reads event 0's, unused.
+    a_first = new[np.searchsorted(opened, np.where(first < n, first, 0))]
+    shadow = (env.shadowing_sigma_db * z[a_first])[ai]
     leak = env.leakage_sigma_db * z[a_first + 1]
+    leakage_power = relative_power(env.leakage_base_db + leak)[ai]
     # Fading once per key, at the event that opened it.
-    new = offsets[is_new_fade]
     fade_by_key = np.empty(n_keys * b_span, dtype=np.float64)
-    fade_by_key[fade_key[is_new_fade]] = rician_fading_db_from_normals(
+    fade_by_key[fade_key[opened]] = rician_fading_db_from_normals(
         z[new + 2], z[new + 3], rician_k_db
     )
     fade = fade_by_key[fade_key]
 
     return BatchPower(
         received_power_dbm(
-            unobstructed_dbm,
-            rays.obstruction_db,
-            shadow,
-            leak,
-            env.leakage_base_db,
-            fade,
+            unobstructed_dbm, rays.obstruction_db, shadow, leakage_power, fade
         )
     )
 
@@ -162,28 +161,36 @@ def first_occurrence(keys: np.ndarray, n_keys: int) -> np.ndarray:
     return first
 
 
+def relative_power(extra_db: np.ndarray) -> np.ndarray:
+    """A path's power relative to the unobstructed path.
+
+    ``extra_db`` is the path's loss beyond free space; a negative
+    extra counts as none: ``10 ** (-max(extra, 0) / 10)``.
+    """
+    return 10.0 ** (-np.maximum(extra_db, 0.0) / 10.0)
+
+
 def received_power_dbm(
     unobstructed_dbm: np.ndarray,
     obstruction_db: np.ndarray,
     shadow_db: np.ndarray,
-    leak_db: np.ndarray,
-    leakage_base_db: float,
+    leakage_power: np.ndarray,
     fade_db: np.ndarray,
 ) -> np.ndarray:
     """Combine direct and leakage paths into per-event power (dBm).
 
     The :class:`~repro.environment.links.AdsbLinkModel` combination:
     the obstructed direct path (shadowing applied) in parallel with
-    the urban leakage path, leakage ignored on clear rays, Rician
-    fading added last.
+    the urban leakage path (``leakage_power`` per event, from
+    :func:`relative_power`), leakage ignored on clear rays, Rician
+    fading added last. The combination is evaluated only on the
+    obstructed rays; the ufuncs are elementwise, so each value equals
+    the whole-array evaluation masked with ``np.where``.
     """
-    direct_extra = obstruction_db - shadow_db
-    leakage_extra = leakage_base_db + leak_db
-    combined = -10.0 * np.log10(
-        10.0 ** (-np.maximum(direct_extra, 0.0) / 10.0)
-        + 10.0 ** (-np.maximum(leakage_extra, 0.0) / 10.0)
-    )
-    effective_extra = np.where(
-        obstruction_db <= 0.5, direct_extra, combined
-    )
+    effective_extra = obstruction_db - shadow_db
+    blocked = np.flatnonzero(obstruction_db > 0.5)
+    if blocked.size:
+        effective_extra[blocked] = -10.0 * np.log10(
+            relative_power(effective_extra[blocked]) + leakage_power[blocked]
+        )
     return unobstructed_dbm - effective_extra + fade_db

@@ -33,8 +33,10 @@ run of equal times back in concatenation order.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +94,11 @@ class BatchSquitters(StageValue):
         return int(self.time_s.size)
 
 
+#: The token of the traffic a :func:`single_traffic_token` block on
+#: this thread is scanning, as ``(traffic, token)``.
+_scoped_token = threading.local()
+
+
 def traffic_content_token(traffic: TrafficSimulator) -> tuple:
     """The content that determines a population's squitter schedule.
 
@@ -101,8 +108,13 @@ def traffic_content_token(traffic: TrafficSimulator) -> tuple:
     bits but never the schedule. Computed fresh on every call
     (sub-ms for a fleet-sized population) so in-place mutations of
     the traffic are always observed; memoizing by object identity
-    would hide them.
+    would hide them. The one exception is inside
+    :func:`single_traffic_token`, which builds it once for a run that
+    does not mutate the traffic.
     """
+    scoped = getattr(_scoped_token, "value", None)
+    if scoped is not None and scoped[0] is traffic:
+        return scoped[1]
     aircraft = traffic.aircraft
     return (
         np.array(
@@ -127,6 +139,22 @@ def traffic_content_token(traffic: TrafficSimulator) -> tuple:
             dtype=np.float64,
         ),
     )
+
+
+@contextmanager
+def single_traffic_token(traffic: TrafficSimulator) -> Iterator[None]:
+    """Build ``traffic``'s content token once for the enclosed block.
+
+    A directional run keys both its schedule and its ground-truth
+    query on the token and changes no content the token covers in
+    between, so the block's calls on this thread share one build.
+    """
+    outer = getattr(_scoped_token, "value", None)
+    _scoped_token.value = (traffic, traffic_content_token(traffic))
+    try:
+        yield
+    finally:
+        _scoped_token.value = outer
 
 
 def build_batch_squitters(

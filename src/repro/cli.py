@@ -469,6 +469,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if result.campaign is not None:
         print()
         print(result.campaign.summary_text())
+        deferred = result.campaign.metrics["jobs_deferred"]
+        if deferred:
+            print(
+                f"  deferred: {deferred} job(s) not run (--max-jobs);"
+                " the fleet is incomplete"
+            )
     if args.json:
         from repro.core.serialize import network_to_json
 

@@ -26,7 +26,10 @@ from repro.adsb.decoder import Dump1090Decoder
 from repro.adsb.icao import IcaoAddress
 from repro.airspace.flightradar import FlightRadarService
 from repro.airspace.traffic import TrafficSimulator
-from repro.batch.schedule import traffic_content_token
+from repro.batch.schedule import (
+    single_traffic_token,
+    traffic_content_token,
+)
 from repro.core.observations import AircraftObservation, DirectionalScan
 from repro.engines.pathcache import get_path_cache
 from repro.environment.links import AdsbLinkModel, ray_geometry
@@ -108,12 +111,15 @@ class DirectionalEvaluator:
 
         Dispatches to the vectorized batch engine unless
         ``use_batch`` is off; both paths consume the RNG identically
-        and produce the same decode set for the same seed.
+        and produce the same decode set for the same seed. The batch
+        run's schedule and ground-truth query share one traffic
+        content token.
         """
         if self.use_batch:
             from repro.batch.engine import run_directional_scan_batch
 
-            return run_directional_scan_batch(self, rng)
+            with single_traffic_token(self.traffic):
+                return run_directional_scan_batch(self, rng)
         return self.run_scalar(rng)
 
     def run_scalar(self, rng: np.random.Generator) -> DirectionalScan:

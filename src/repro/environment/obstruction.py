@@ -30,6 +30,11 @@ from repro.rf.diffraction import (
 )
 from repro.rf.penetration import material_loss_db, material_loss_db_array
 
+#: Carrier and transmitter distance of the :meth:`ObstructionMap.is_clear`
+#: ground-truth probe.
+PROBE_FREQ_HZ = 1090e6
+PROBE_DISTANCE_M = 50_000.0
+
 
 def combine_parallel_paths_db(losses_db: Sequence[float]) -> float:
     """Combine alternative propagation paths (power sum of each).
@@ -337,8 +342,8 @@ class ObstructionMap:
         azimuth_deg: float,
         elevation_deg: float,
         threshold_db: float = 3.0,
-        freq_hz: float = 1090e6,
-        tx_distance_m: float = 50_000.0,
+        freq_hz: float = PROBE_FREQ_HZ,
+        tx_distance_m: float = PROBE_DISTANCE_M,
     ) -> bool:
         """Whether a direction is effectively unobstructed.
 
@@ -389,11 +394,16 @@ class ObstructionMap:
         resolution_deg: float,
         threshold_db: float,
     ) -> List[AzimuthSector]:
+        # The :meth:`is_clear` sweep over bins ``i * resolution_deg``,
+        # as one batch call at the probe frequency and distance.
         n = int(round(360.0 / resolution_deg))
-        flags = [
-            self.is_clear(i * resolution_deg, elevation_deg, threshold_db)
-            for i in range(n)
-        ]
+        loss = self.loss_db_array(
+            np.arange(n) * resolution_deg,
+            np.full(n, elevation_deg),
+            PROBE_FREQ_HZ,
+            np.full(n, PROBE_DISTANCE_M),
+        )
+        flags = (loss < threshold_db).tolist()
         return flags_to_sectors(flags, resolution_deg)
 
 

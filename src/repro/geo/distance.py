@@ -8,6 +8,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.geo.coords import EARTH_RADIUS_M, GeoPoint
+from repro.geo.sectors import wrap_360_array
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
@@ -65,34 +66,37 @@ def destination_point(
 
 def normalize_lon_deg_array(lon_deg: np.ndarray) -> np.ndarray:
     """Fold longitudes into [-180, 180) like ``GeoPoint.__post_init__``."""
-    return ((lon_deg + 180.0) % 360.0) - 180.0
+    return wrap_360_array(lon_deg + 180.0) - 180.0
 
 
 def destination_point_arrays(
     sin_lat0: np.ndarray,
     cos_lat0: np.ndarray,
     lon0_rad: np.ndarray,
-    bearing_deg: np.ndarray,
+    sin_brg: np.ndarray,
+    cos_brg: np.ndarray,
     distance_m: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch :func:`destination_point` from per-element start points.
 
     Element i leaves the start whose latitude sine/cosine and
     longitude (radians) are ``sin_lat0[i]``, ``cos_lat0[i]`` and
-    ``lon0_rad[i]``. Returns (lat_deg, lon_deg) arrays with longitudes
+    ``lon0_rad[i]``, along the bearing whose sine and cosine are
+    ``sin_brg[i]`` and ``cos_brg[i]`` (``np.sin(np.radians(bearing))``
+    and its cosine). Returns (lat_deg, lon_deg) arrays with longitudes
     normalized to [-180, 180), matching the :class:`GeoPoint` the
     scalar function would construct. Callers compute the start terms
-    with ``math`` once per start and gather them, so each element sees
-    the exact scalar operation sequence.
+    with ``math`` and the bearing terms with numpy once per start and
+    gather them, so each element sees the exact operation sequence of
+    a per-element evaluation.
     """
     ang = np.asarray(distance_m, dtype=np.float64) / EARTH_RADIUS_M
-    brg = np.radians(np.asarray(bearing_deg, dtype=np.float64))
     sin_ang = np.sin(ang)
     cos_ang = np.cos(ang)
-    sin_lat = sin_lat0 * cos_ang + cos_lat0 * sin_ang * np.cos(brg)
+    sin_lat = sin_lat0 * cos_ang + cos_lat0 * sin_ang * cos_brg
     sin_lat = np.clip(sin_lat, -1.0, 1.0)
     lat2 = np.arcsin(sin_lat)
-    y = np.sin(brg) * sin_ang * cos_lat0
+    y = sin_brg * sin_ang * cos_lat0
     x = cos_ang - sin_lat0 * sin_lat
     lon2 = lon0_rad + np.arctan2(y, x)
     return np.degrees(lat2), normalize_lon_deg_array(np.degrees(lon2))
@@ -154,7 +158,7 @@ def initial_bearing_deg_arrays(
     y = np.cos(lat_a) * np.sin(lat_b) - np.sin(lat_a) * cos_lat_b * np.cos(
         dlon
     )
-    return np.degrees(np.arctan2(x, y)) % 360.0
+    return wrap_360_array(np.degrees(np.arctan2(x, y)))
 
 
 def slant_range_m(a: GeoPoint, b: GeoPoint) -> float:

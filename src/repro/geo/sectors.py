@@ -20,6 +20,23 @@ def normalize_bearing(bearing_deg: float) -> float:
     return bearing_deg % 360.0
 
 
+def wrap_360_array(angle_deg: np.ndarray) -> np.ndarray:
+    """``np.remainder(angle_deg, 360.0)``, bit for bit, and cheaper.
+
+    ``np.remainder`` is ``fmod`` plus a sign fix-up that adds the
+    divisor to negative remainders and turns every zero into +0.0;
+    adding 0.0 to the other elements does the latter (``-0.0 + 0.0``
+    is +0.0), so the result matches on every input, NaN and ±inf
+    included (both give NaN). ``fmod`` returns every angle inside
+    (-360, 360) unchanged, so it is skipped when all of them are,
+    which is the usual case for bearings and longitudes.
+    """
+    m = np.asarray(angle_deg, dtype=np.float64)
+    if not (m.size and -360.0 < m.min() and m.max() < 360.0):
+        m = np.fmod(m, 360.0)
+    return m + np.where(m < 0.0, 360.0, 0.0)
+
+
 def bearing_difference(a_deg: float, b_deg: float) -> float:
     """Smallest absolute angular difference between two bearings.
 
@@ -75,7 +92,7 @@ class AzimuthSector:
         b = np.asarray(bearing_deg, dtype=np.float64)
         if self.width_deg >= 360.0:
             return np.ones(b.shape, dtype=bool)
-        return (b - self.start_deg) % 360.0 < self.width_deg
+        return wrap_360_array(b - self.start_deg) < self.width_deg
 
     def overlaps(self, other: "AzimuthSector") -> bool:
         """Whether two sectors share any bearing."""

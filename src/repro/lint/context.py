@@ -24,7 +24,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, FrozenSet, Set, Tuple
@@ -128,13 +128,34 @@ def _scan_suppressions(
     return line_disables, file_disables
 
 
+#: Parsed files of this process by resolved path, each with the
+#: ``(st_mtime_ns, st_size)`` it was parsed at.
+_PARSED: Dict[Path, Tuple[Tuple[int, int], FileContext]] = {}
+
+
 def parse_file(path: Path) -> FileContext:
-    """Read and parse one file; raises ``SyntaxError`` on bad source."""
+    """Read and parse one file; raises ``SyntaxError`` on bad source.
+
+    Memoised per process: a file whose modification time and size
+    are unchanged since its last parse is not read or parsed again
+    (the package signature index parses every ``repro`` file on each
+    lint run). Checkers only read contexts, so one is shared; a
+    different spelling of the same path gets a copy that carries it.
+    """
+    resolved = path.resolve()
+    st = resolved.stat()
+    stamp = (st.st_mtime_ns, st.st_size)
+    hit = _PARSED.get(resolved)
+    if hit is not None and hit[0] == stamp:
+        ctx = hit[1]
+        return ctx if ctx.path == path else replace(ctx, path=path)
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
-    return FileContext(
+    ctx = FileContext(
         path=path,
         source=source,
         tree=tree,
         module=module_name_for(path),
     )
+    _PARSED[resolved] = (stamp, ctx)
+    return ctx

@@ -292,7 +292,9 @@ class FleetCampaign:
                 continue
             to_run.append(job)
 
+        deferred = 0
         if config.stop_after is not None:
+            deferred = max(len(to_run) - config.stop_after, 0)
             for job in to_run[config.stop_after:]:
                 ledger[job.job_id] = JobLedgerEntry(
                     job_id=job.job_id,
@@ -344,6 +346,9 @@ class FleetCampaign:
         summary = metrics.summary()
         summary["cache_hits"] = self.cache.hits
         summary["cache_misses"] = self.cache.misses
+        # Jobs left pending by ``stop_after``: a fleet with deferred
+        # jobs is incomplete, and saying so travels with the metrics.
+        summary["jobs_deferred"] = deferred
         # Re-key into job order: with workers > 1 the dicts fill in
         # completion order, and downstream stable sorts (marketplace
         # ranking) must not depend on scheduling.

@@ -176,7 +176,7 @@ class TestGridStage:
             for f in dataclasses.fields(grid)
             if f.name != "legs"
         ] + list(grid.legs.arrays())
-        assert len(arrays) == 14
+        assert len(arrays) == 16
         for array in arrays:
             assert array.size > 0
             assert not array.flags.writeable

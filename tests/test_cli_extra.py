@@ -1,5 +1,7 @@
 """Tests for the fleet/crosscheck CLI commands."""
 
+import json
+
 from repro.cli import main
 
 
@@ -27,6 +29,18 @@ class TestFleetCommand:
         second = capsys.readouterr().out
         assert "2 from cache" in second
         assert "4 done" in second
+
+    def test_fleet_json_counts_deferred_jobs(self, tmp_path, capsys):
+        # A --max-jobs run is a partial fleet: the file must say how
+        # many jobs it left out, not pass for a complete 3-node fleet.
+        path = tmp_path / "fleet.json"
+        assert main(["fleet", "--max-jobs", "3", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "deferred: 9 job(s)" in out
+        doc = json.loads(path.read_text())
+        assert len(doc["assessments"]) == 3
+        assert doc["failures"] == {}
+        assert doc["metrics"]["jobs_deferred"] == 9
 
 
 class TestCrosscheckCommand:

@@ -80,30 +80,36 @@ def test_fleet_marketplace_cold(benchmark, world):
 
 
 def test_fleet_marketplace_cache_off(benchmark, world):
-    # The campaign scopes the cache from its config, so the off mode
-    # is selected per run, not via the global toggle.
-    result = benchmark.pedantic(
-        fleet.run_fleet,
-        kwargs={"world": world, "path_cache": False},
-        rounds=5,
-        iterations=1,
-    )
+    configure_path_cache(enabled=False)
+    try:
+        result = benchmark.pedantic(
+            fleet.run_fleet,
+            kwargs={"world": world},
+            rounds=5,
+            iterations=1,
+        )
+    finally:
+        configure_path_cache(enabled=True)
     _assert_marketplace(result)
 
 
 def test_fleet_path_cache_speedup(bench_record, world):
     """Warm campaign reruns beat the uncached baseline by ≥2x."""
 
-    def timed(n_rounds, **kwargs):
+    def timed(n_rounds):
         best = float("inf")
         result = None
         for _ in range(n_rounds):
             t0 = time.perf_counter()
-            result = fleet.run_fleet(world=world, **kwargs)
+            result = fleet.run_fleet(world=world)
             best = min(best, time.perf_counter() - t0)
         return best, result
 
-    off_s, off_result = timed(_COMPARE_ROUNDS, path_cache=False)
+    configure_path_cache(enabled=False)
+    try:
+        off_s, off_result = timed(_COMPARE_ROUNDS)
+    finally:
+        configure_path_cache(enabled=True)
 
     configure_path_cache(enabled=True, clear=True)
     t0 = time.perf_counter()

@@ -3,15 +3,18 @@
 Compares the three execution paths of the fleet-calibration runtime
 on the standard 12-node fleet: workers=1 (the serial degenerate
 case), workers=4 on a thread pool, and a second run against a warm
-result cache. Parallel must not lose to serial and must produce
-bit-identical assessments; the warm run must restore (nearly) the
-whole fleet from cache without recomputation.
+result cache. The serial and thread-pool runs each start on a cleared
+path cache, so both are cold whatever ran before them. Parallel must
+not lose to serial and must produce bit-identical assessments; the
+warm run must restore (nearly) the whole fleet from cache without
+recomputation.
 """
 
 import os
 import time
 
 from repro.core.serialize import assessment_to_json
+from repro.engines import configure_path_cache
 from repro.runtime.campaign import CampaignConfig, run_fleet_campaign
 
 
@@ -22,13 +25,14 @@ def _timed_run(**kwargs):
 
 
 def test_runtime_fleet_paths(benchmark, world, tmp_path):
+    configure_path_cache(enabled=True, clear=True)
     serial, serial_s = _timed_run(
         world=world, config=CampaignConfig(workers=1)
     )
 
+    configure_path_cache(enabled=True, clear=True)
     parallel, parallel_s = _timed_run(
-        world=world,
-        config=CampaignConfig(workers=4, executor="thread"),
+        world=world, config=CampaignConfig(workers=4)
     )
 
     cache_dir = str(tmp_path / "cache")

@@ -149,11 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_cmd.add_argument(
         "--workers", type=int, default=1,
-        help="worker pool size (1 = serial, bit-identical to seed)",
-    )
-    fleet_cmd.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="worker pool backend",
+        help="worker threads (1 = serial, bit-identical to seed)",
     )
     fleet_cmd.add_argument(
         "--seed", type=int, default=95, help="campaign base seed"
@@ -454,53 +450,34 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    from repro.engines import configure_path_cache
+
+    configure_path_cache(enabled=args.path_cache == "on")
     world = build_world()
     result = fleet.run_fleet(
         world=world,
         seed=args.seed,
         workers=args.workers,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         max_jobs=args.max_jobs,
         fail_node=args.fail_node,
-        path_cache=args.path_cache == "on",
     )
     print(fleet.format_marketplace(result))
-    if result.campaign is not None:
-        print()
-        print(result.campaign.summary_text())
-        deferred = result.campaign.metrics["jobs_deferred"]
-        if deferred:
-            print(
-                f"  deferred: {deferred} job(s) not run (--max-jobs);"
-                " the fleet is incomplete"
-            )
+    print()
+    print(result.campaign.summary_text())
+    deferred = result.campaign.metrics["jobs_deferred"]
+    if deferred:
+        print(
+            f"  deferred: {deferred} job(s) not run (--max-jobs);"
+            " the fleet is incomplete"
+        )
     if args.json:
         from repro.core.serialize import network_to_json
 
         with open(args.json, "w") as f:
-            f.write(network_to_json(_fleet_network(result), indent=2))
+            f.write(network_to_json(result.campaign.network(), indent=2))
         print(f"wrote {args.json}")
     return 0
-
-
-def _fleet_network(result):
-    """FleetResult -> NetworkAssessments (campaign failures included)."""
-    from repro.core.network import (
-        AssessmentFailure,
-        NetworkAssessments,
-    )
-
-    network = NetworkAssessments(result.assessments)
-    if result.campaign is not None:
-        for entry in result.campaign.failed():
-            network.failures[entry.job_id] = AssessmentFailure(
-                node_id=entry.job_id,
-                error=entry.errors[-1] if entry.errors else "failed",
-                exception_type="JobFailed",
-            )
-        network.metrics = dict(result.campaign.metrics)
-    return network
 
 
 def _cmd_crosscheck(_args: argparse.Namespace) -> int:
@@ -724,7 +701,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store = store_from_json(args.file)
     elif args.source == "fleet":
         result = fleet.run_fleet(world=build_world(), seed=args.seed)
-        store = store_from_network(_fleet_network(result))
+        store = store_from_network(result.campaign.network())
     else:
         network, drift = synthetic_fleet(args.nodes, seed=args.seed)
         store = FleetStore(

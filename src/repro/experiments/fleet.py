@@ -46,7 +46,7 @@ class FleetResult:
     assessments: Dict[str, NodeAssessment]
     cheaters: List[str]
     degraded: List[str]
-    campaign: Optional[CampaignResult] = field(default=None, repr=False)
+    campaign: CampaignResult = field(repr=False)
 
     def marketplace(self) -> List[NodeAssessment]:
         """Trustworthy nodes, best quality first."""
@@ -80,26 +80,21 @@ def run_fleet(
     world: Optional[World] = None,
     seed: int = 95,
     workers: int = 1,
-    executor: str = "thread",
     cache_dir: Optional[str] = None,
     max_jobs: Optional[int] = None,
     fail_node: Optional[str] = None,
-    path_cache: bool = True,
 ) -> FleetResult:
     """Calibrate the whole fleet, adversaries included.
 
     Runs through the :mod:`repro.runtime` campaign machinery; the
     default arguments reproduce the historical serial run exactly.
-    ``path_cache`` selects stage-result reuse (:mod:`repro.engines`)
-    — execution policy only, results are unchanged.
+    Stage-result reuse follows the process-global path cache
+    (:func:`repro.engines.configure_path_cache`) — execution policy
+    only, results are unchanged.
     """
     world = world or build_world()
     config = CampaignConfig(
-        workers=workers,
-        executor=executor,
-        cache_dir=cache_dir,
-        stop_after=max_jobs,
-        path_cache=path_cache,
+        workers=workers, cache_dir=cache_dir, stop_after=max_jobs
     )
     campaign = run_fleet_campaign(
         seed=seed,

@@ -92,9 +92,11 @@ def fresnel_v_multifreq(
 def knife_edge_loss_db_array(v: np.ndarray) -> np.ndarray:
     """Batch :func:`knife_edge_loss_db`.
 
-    ``sqrt((v-0.1)^2 + 1) + v - 0.1`` is positive for every real v, so
-    the log10 is evaluated everywhere and masked afterwards — no
-    warnings, identical values where v > -0.78.
+    The log10 is evaluated everywhere and masked afterwards, on ``v``
+    clamped to -0.78 from below: unclamped, ``sqrt((v-0.1)^2 + 1) + v
+    - 0.1`` cancels to 0 in floating point for very negative v (by
+    -1e9). No warnings; identical values where v > -0.78.
     """
-    term = np.sqrt((v - 0.1) ** 2 + 1.0) + v - 0.1
+    vc = np.maximum(v, -0.78)
+    term = np.sqrt((vc - 0.1) ** 2 + 1.0) + vc - 0.1
     return np.where(v <= -0.78, 0.0, 6.9 + 20.0 * np.log10(term))

@@ -8,10 +8,10 @@ in a for-loop" toward that fleet:
 - :mod:`repro.runtime.jobs` — value-typed job specs with a
   deterministic content hash of (node config, world seed, pipeline
   version);
-- :mod:`repro.runtime.queue` — in-memory priority queue with an
-  explicit per-job state machine (PENDING → RUNNING →
+- :mod:`repro.runtime.queue` — in-memory first-in-first-out queue
+  with an explicit per-job state machine (PENDING → RUNNING →
   DONE/FAILED/RETRYING);
-- :mod:`repro.runtime.workers` — thread/process pools with per-job
+- :mod:`repro.runtime.workers` — a thread pool with per-job
   timeouts and exponential-backoff retries; ``workers=1`` is the
   serial degenerate case, bit-identical to the historical loop;
 - :mod:`repro.runtime.cache` — content-addressed result cache

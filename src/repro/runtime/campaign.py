@@ -31,12 +31,12 @@ from typing import (
     Union,
 )
 
-from repro.core.network import NodeAssessment
-from repro.engines import (
-    get_path_cache,
-    path_cache_stats,
-    record_path_cache_metrics,
+from repro.core.network import (
+    AssessmentFailure,
+    NetworkAssessments,
+    NodeAssessment,
 )
+from repro.engines import path_cache_stats, record_path_cache_metrics
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
     CalibrationJob,
@@ -124,17 +124,16 @@ def fleet_jobs(
 class CampaignConfig:
     """Execution policy for one campaign run.
 
-    ``path_cache`` is execution policy like ``workers``: it chooses
-    *how* assessments are computed (stage-result reuse) and
-    deliberately never joins :meth:`CalibrationJob.content_key` — a
-    cached result is valid either way.
+    None of it joins :meth:`CalibrationJob.content_key`: it changes
+    *how* the jobs run, never what they compute. Stage-result reuse is
+    the process-global path cache's own switch
+    (:func:`repro.engines.configure_path_cache`), which campaigns
+    leave alone.
     """
 
     workers: int = 1
-    executor: str = "thread"
     cache_dir: Optional[str] = None
     stop_after: Optional[int] = None  # run at most N jobs, then stop
-    path_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -182,6 +181,25 @@ class CampaignResult:
         return [
             e for e in self.ledger.values() if e.state == "failed"
         ]
+
+    def network(self) -> NetworkAssessments:
+        """The done assessments, failed jobs and campaign metrics.
+
+        Ledger entries that ended FAILED become
+        :class:`~repro.core.network.AssessmentFailure` records (job
+        ids are node ids in calibration campaigns), so a partial
+        campaign serves and serializes exactly what it computed and
+        admits what it didn't.
+        """
+        network = NetworkAssessments(self.assessments)
+        for entry in self.failed():
+            network.failures[entry.job_id] = AssessmentFailure(
+                node_id=entry.job_id,
+                error=entry.errors[-1] if entry.errors else "failed",
+                exception_type="JobFailed",
+            )
+        network.metrics = dict(self.metrics)
+        return network
 
     def summary_text(self) -> str:
         """Human-readable one-paragraph campaign summary."""
@@ -255,22 +273,12 @@ class FleetCampaign:
     def run(self) -> CampaignResult:
         """Drive every job to a terminal state; see the module doc.
 
-        The campaign scopes the process-global path cache for its
-        duration: the enabled setting follows the config, and the
-        stats delta over the run lands in the result metrics — so
-        each campaign reports its own cache effectiveness even though
-        entries survive across campaigns (the warm-run win).
+        The process-global path cache's stats delta over the run lands
+        in the result metrics, so each campaign reports its own cache
+        effectiveness even though entries survive across campaigns
+        (the warm-run win).
         """
-        path_cache = get_path_cache()
-        prev_enabled = path_cache.enabled
-        path_cache.enabled = self.config.path_cache
-        before = path_cache_stats()
-        try:
-            return self._run(before)
-        finally:
-            path_cache.enabled = prev_enabled
-
-    def _run(self, path_cache_before: Dict[str, int]) -> CampaignResult:
+        path_cache_before = path_cache_stats()
         config = self.config
         metrics = MetricsRegistry()
         ledger: Dict[str, JobLedgerEntry] = {}
@@ -334,7 +342,6 @@ class FleetCampaign:
             _run_queue(
                 queue,
                 workers=config.workers,
-                executor=config.executor,
                 runner=self.runner,
                 retry_policy=self.retry_policy,
                 clock=self.clock,
@@ -371,17 +378,14 @@ def run_fleet_campaign(
     seed: int = 95,
     config: Optional[CampaignConfig] = None,
     world: Optional[World] = None,
-    world_spec: Optional[WorldSpec] = None,
     max_attempts: int = 3,
     timeout_s: Optional[float] = None,
     fail_node: Optional[str] = None,
 ) -> CampaignResult:
     """Build and run the standard 12-node fleet campaign."""
-    if world is not None and world_spec is None:
-        world_spec = WorldSpec.from_world(world)
     jobs = fleet_jobs(
         seed=seed,
-        world=world_spec,
+        world=None if world is None else WorldSpec.from_world(world),
         max_attempts=max_attempts,
         timeout_s=timeout_s,
         fail_node=fail_node,

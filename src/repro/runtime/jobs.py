@@ -1,12 +1,11 @@
 """Calibration job specs: what to run, described by value.
 
-A job must be (a) picklable, so process-pool workers can receive it,
-(b) tiny, so queues stay cheap, and (c) fully
+A job must be (a) tiny, so queues stay cheap, and (b) fully
 deterministic, so two runs of the same job produce bit-identical
 assessments. Jobs therefore carry *specifications* — the world seed
 and the node's configuration — rather than live objects; workers
-rebuild the heavy simulation state on their side (and cache it per
-process, see :mod:`repro.runtime.workers`).
+build the heavy simulation state from them once per world spec (see
+:mod:`repro.runtime.workers`).
 
 The :meth:`CalibrationJob.content_key` hash over (node config, world
 seed, pipeline version) is the identity the result cache, and so a
@@ -168,7 +167,7 @@ class NodeSpec:
 class CalibrationJob:
     """One schedulable unit of work: calibrate one node.
 
-    ``priority``, ``max_attempts``, and ``timeout_s`` are execution
+    ``max_attempts`` and ``timeout_s`` are execution
     policy and deliberately excluded from the content key — they
     change *how* the job runs, never what it computes.
     """
@@ -176,7 +175,6 @@ class CalibrationJob:
     node: NodeSpec
     world: WorldSpec = field(default_factory=WorldSpec)
     seed: int = 0
-    priority: int = 0
     max_attempts: int = 3
     timeout_s: Optional[float] = None
     pipeline_version: str = PIPELINE_VERSION

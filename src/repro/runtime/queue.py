@@ -1,4 +1,4 @@
-"""In-memory priority job queue with a per-job state machine.
+"""In-memory job queue with a per-job state machine.
 
 Every job moves through an explicit lifecycle::
 
@@ -10,13 +10,13 @@ Every job moves through an explicit lifecycle::
 
 Transitions outside this graph raise :class:`InvalidTransition` — a
 scheduler bug should be loud, not a silently wedged campaign. The
-queue is thread-safe; the executor loop in
-:mod:`repro.runtime.workers` claims from many threads at once.
+queue is thread-safe, so the scheduling loop in
+:mod:`repro.runtime.workers` may share it with other threads.
 
-Claiming order: among jobs whose ``ready_at`` has passed, lowest
-``priority`` value first (ties broken by insertion order). The scan
-is O(n) per claim — campaigns are thousands of jobs at most, and
-correctness under retries beats heap bookkeeping here.
+Claiming order: among jobs whose ``ready_at`` has passed, the one
+enqueued first (records keep insertion order). The scan is O(n) per
+claim — campaigns are thousands of jobs at most, and correctness
+under retries beats heap bookkeeping here.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class JobRecord:
     attempts: int = 0
     ready_at: float = 0.0
     errors: List[str] = field(default_factory=list)
-    seq: int = 0
 
     @property
     def job_id(self) -> str:
@@ -74,20 +73,18 @@ class JobRecord:
 
 
 class JobQueue:
-    """Thread-safe priority queue of calibration jobs."""
+    """Thread-safe queue of calibration jobs."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: Dict[str, JobRecord] = {}
-        self._seq = 0
 
     def put(self, job: CalibrationJob, ready_at: float = 0.0) -> JobRecord:
         """Enqueue a job; job ids must be unique within the queue."""
         with self._lock:
             if job.job_id in self._records:
                 raise ValueError(f"duplicate job id: {job.job_id!r}")
-            record = JobRecord(job=job, ready_at=ready_at, seq=self._seq)
-            self._seq += 1
+            record = JobRecord(job=job, ready_at=ready_at)
             self._records[job.job_id] = record
             return record
 
@@ -100,31 +97,21 @@ class JobQueue:
         record.state = new
 
     def claim(self, now: float) -> Optional[JobRecord]:
-        """Claim the best ready job, moving it to RUNNING.
+        """Claim the earliest-enqueued ready job, moving it to RUNNING.
 
         Returns ``None`` when nothing is claimable right now (either
         the queue is drained or every waiting job is backing off).
         """
         with self._lock:
-            best: Optional[JobRecord] = None
             for record in self._records.values():
-                if record.state not in (
+                if record.ready_at <= now and record.state in (
                     JobState.PENDING,
                     JobState.RETRYING,
                 ):
-                    continue
-                if record.ready_at > now:
-                    continue
-                if best is None or (
-                    record.job.priority,
-                    record.seq,
-                ) < (best.job.priority, best.seq):
-                    best = record
-            if best is None:
-                return None
-            self._transition(best, JobState.RUNNING)
-            best.attempts += 1
-            return best
+                    self._transition(record, JobState.RUNNING)
+                    record.attempts += 1
+                    return record
+            return None
 
     def complete(self, job_id: str) -> JobRecord:
         """RUNNING → DONE."""

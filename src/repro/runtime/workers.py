@@ -1,15 +1,15 @@
-"""Worker pools: execute calibration jobs with retries and timeouts.
+"""The worker pool: execute calibration jobs with retries and timeouts.
 
-Two execution backends, both behind :func:`run_queue`:
+:func:`run_queue` drains a queue one of two ways:
 
 - ``workers=1`` runs jobs inline in the calling thread — the
   degenerate serial case, bit-identical to the historical
   ``CalibrationService.evaluate_network`` loop;
-- ``workers>1`` drives a ``concurrent.futures`` thread or process
-  pool. Threads share the in-process world cache (the simulation
-  objects are read-only after construction and every evaluation gets
-  its own RNG, so results are identical regardless of interleaving);
-  processes rebuild the world from its spec once per worker.
+- ``workers>1`` drives a ``concurrent.futures`` thread pool. The
+  threads share the in-process world cache and path cache (the
+  simulation objects are read-only after construction and every
+  evaluation gets its own RNG, so results are identical regardless
+  of interleaving).
 
 Failures are retried with exponential backoff and deterministic
 jitter (seeded from the job key, so schedules are reproducible), up
@@ -106,7 +106,7 @@ class JobOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Job execution: rebuild heavy state per process, cached by spec.
+# Job execution: heavy state built once per world spec.
 
 _WORLD_CACHE: Dict[WorldSpec, World] = {}
 _WORLD_CACHE_LOCK = threading.Lock()
@@ -129,7 +129,7 @@ def seed_world_cache(spec: WorldSpec, world: World) -> None:
 
 
 def execute_job(job: CalibrationJob) -> NodeAssessment:
-    """Run one calibration job to completion (module-level: picklable)."""
+    """Run one calibration job to completion."""
     world = world_for(job.world)
     service = CalibrationService(
         traffic=world.traffic,
@@ -143,21 +143,6 @@ def execute_job(job: CalibrationJob) -> NodeAssessment:
     return service.evaluate_node(
         node, seed=job.seed, fabrication=fabrication
     )
-
-
-def make_executor(
-    kind: str, workers: int
-) -> concurrent.futures.Executor:
-    """A thread or process pool executor."""
-    if kind == "thread":
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-runtime"
-        )
-    if kind == "process":
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        )
-    raise ValueError(f"unknown executor kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +204,6 @@ def _finish_failure(
 def run_queue(
     queue: JobQueue,
     workers: int = 1,
-    executor: str = "thread",
     runner: Callable[[CalibrationJob], NodeAssessment] = execute_job,
     retry_policy: Optional[RetryPolicy] = None,
     clock: Optional[Clock] = None,
@@ -251,14 +235,7 @@ def run_queue(
         )
     else:
         _run_pooled(
-            queue,
-            workers,
-            executor,
-            runner,
-            retry_policy,
-            clock,
-            metrics,
-            settle,
+            queue, workers, runner, retry_policy, clock, metrics, settle
         )
     return outcomes
 
@@ -321,18 +298,19 @@ def _run_serial(
 def _run_pooled(
     queue: JobQueue,
     workers: int,
-    executor: str,
     runner: Callable[[CalibrationJob], NodeAssessment],
     retry_policy: RetryPolicy,
     clock: Clock,
     metrics: MetricsRegistry,
     settle: Callable[[Optional[JobOutcome]], None],
 ) -> None:
-    """Pool execution: up to ``workers`` jobs in flight at once."""
+    """Thread-pool execution: up to ``workers`` jobs in flight at once."""
     in_flight: Dict[
         concurrent.futures.Future, tuple  # (record, started_at)
     ] = {}
-    with make_executor(executor, workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-runtime"
+    ) as pool:
         while True:
             # Keep the pool saturated with every claimable job.
             while len(in_flight) < workers:

@@ -29,7 +29,6 @@ from repro.serve.loader import (
     drift_statuses,
     publish_gateway,
     snapshot_from_network,
-    store_from_campaign,
     store_from_gateway,
     store_from_json,
     store_from_network,
@@ -61,7 +60,6 @@ __all__ = [
     "publish_gateway",
     "run_server",
     "snapshot_from_network",
-    "store_from_campaign",
     "store_from_gateway",
     "store_from_json",
     "store_from_network",

@@ -6,8 +6,9 @@ Three pipelines end in assessments, and all three land here:
   :class:`~repro.core.network.NetworkAssessments` (or its JSON dump
   via ``repro fleet --json``) becomes one snapshot, failures and all.
 - **Runtime** (`repro.runtime.campaign`): a finished
-  :class:`~repro.runtime.campaign.CampaignResult` maps its ledger's
-  failed jobs to assessment failures.
+  :class:`~repro.runtime.campaign.CampaignResult` is a network through
+  ``result.network()``, its ledger's failed jobs as assessment
+  failures.
 - **Stream** (`repro.stream.gateway`): either a one-shot snapshot of
   the live sessions, or a standing export hook so every
   ``gateway.export_snapshots()`` publishes a fresh store generation
@@ -19,13 +20,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Union
 
-from repro.core.network import (
-    AssessmentFailure,
-    NetworkAssessments,
-    NodeAssessment,
-)
+from repro.core.network import NetworkAssessments, NodeAssessment
 from repro.core.serialize import network_from_json
-from repro.runtime.campaign import CampaignResult
 from repro.serve.store import DriftStatus, FleetSnapshot, FleetStore
 from repro.stream.drift import DriftEvent
 from repro.stream.gateway import StreamGateway
@@ -60,30 +56,6 @@ def store_from_json(path: Union[str, Path]) -> FleetStore:
     """A store over a ``repro fleet --json`` campaign dump."""
     text = Path(path).read_text()
     return store_from_network(network_from_json(text))
-
-
-def store_from_campaign(result: CampaignResult) -> FleetStore:
-    """A store over a finished runtime campaign.
-
-    Ledger entries that ended FAILED become
-    :class:`~repro.core.network.AssessmentFailure` records (job ids
-    are node ids in calibration campaigns), so partial campaigns
-    serve exactly what they computed and admit what they didn't.
-    """
-    failures: Dict[str, AssessmentFailure] = {}
-    for entry in result.failed():
-        failures[entry.job_id] = AssessmentFailure(
-            node_id=entry.job_id,
-            error=entry.errors[-1] if entry.errors else "failed",
-            exception_type="JobFailed",
-        )
-    snapshot = FleetSnapshot(
-        result.assessments,
-        failures=failures,
-        generation=1,
-        metrics=result.metrics,
-    )
-    return FleetStore(snapshot=snapshot)
 
 
 def drift_statuses(

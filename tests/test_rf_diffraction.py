@@ -1,8 +1,15 @@
 """Tests for repro.rf.diffraction."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from repro.rf.diffraction import fresnel_v, knife_edge_loss_db
+from repro.rf.diffraction import (
+    fresnel_v,
+    knife_edge_loss_db,
+    knife_edge_loss_db_array,
+)
 
 
 class TestFresnelV:
@@ -54,3 +61,24 @@ class TestKnifeEdgeLoss:
         just_above = knife_edge_loss_db(-0.779)
         assert just_below == 0.0
         assert just_above < 1.0
+
+
+class TestKnifeEdgeLossArray:
+    #: Fresnel v from deep shadow to far below the -0.78 cutoff; -1.6e16
+    #: is what an obstruction cleared at -90 degrees elevation yields.
+    V = np.array(
+        [50.0, 3.0, 0.0, -0.5, -0.7799, -0.78, -0.781, -1.0, -1e3,
+         -1e8, -1e9, -1e12, -1.6e16, -1e300, -np.inf]
+    )
+
+    def test_no_warnings_for_very_negative_v(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = knife_edge_loss_db_array(self.V)
+        assert np.all(np.isfinite(loss))
+        assert np.all(loss[self.V <= -0.78] == 0.0)
+
+    def test_matches_scalar_bit_for_bit(self):
+        loss = knife_edge_loss_db_array(self.V[np.isfinite(self.V)])
+        for v, got in zip(self.V[np.isfinite(self.V)], loss):
+            assert got == knife_edge_loss_db(float(v))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.network import NetworkAssessments
 from repro.core.serialize import assessment_to_json, network_to_json
+from repro.engines import configure_path_cache, get_path_cache
 from repro.runtime.campaign import (
     CampaignConfig,
     FleetCampaign,
@@ -265,3 +266,29 @@ class TestStandardFleetResume:
                 cache=k, run=12 - k
             )
             assert campaign_json(resumed) == expected
+
+
+class TestPathCacheSwitch:
+    """``configure_path_cache`` is the one switch; campaigns obey it."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_disabled_cache_runs_uncached(self, world, workers):
+        configure_path_cache(enabled=True, clear=True)
+        try:
+            cold = run_fleet_campaign(world=world)
+            # Entries from the cold run stay: a campaign that turned
+            # the cache back on would hit them.
+            configure_path_cache(enabled=False)
+            off = run_fleet_campaign(
+                world=world, config=CampaignConfig(workers=workers)
+            )
+            assert get_path_cache().enabled is False
+        finally:
+            configure_path_cache(enabled=True, clear=True)
+        assert cold.metrics["path_cache_hits"] > 0
+        assert off.metrics["path_cache_hits"] == 0
+        assert off.metrics["path_cache_misses"] == 0
+        assert off.metrics["path_cache_skips"] > 0
+        assert network_to_json(
+            NetworkAssessments(off.assessments), indent=2
+        ) == network_to_json(NetworkAssessments(cold.assessments), indent=2)

@@ -105,10 +105,10 @@ class TestContentKey:
         assert bumped != base
 
     def test_execution_policy_excluded(self):
-        # Retries/timeouts/priority change how a job runs, not what
-        # it computes — the cache must not fragment on them.
+        # Retries/timeouts change how a job runs, not what it
+        # computes — the cache must not fragment on them.
         assert (
-            self._job(max_attempts=9, timeout_s=1.0, priority=5)
+            self._job(max_attempts=9, timeout_s=1.0)
             .content_key()
             == self._job().content_key()
         )

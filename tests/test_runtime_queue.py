@@ -10,11 +10,10 @@ from repro.runtime.queue import (
 )
 
 
-def _job(node_id: str, priority: int = 0, max_attempts: int = 3):
+def _job(node_id: str, max_attempts: int = 3):
     return CalibrationJob(
         node=NodeSpec(node_id, "rooftop"),
         seed=1,
-        priority=priority,
         max_attempts=max_attempts,
     )
 
@@ -88,13 +87,6 @@ class TestIllegalTransitions:
 
 
 class TestClaimOrder:
-    def test_priority_wins_over_insertion(self):
-        q = JobQueue()
-        q.put(_job("low", priority=5))
-        q.put(_job("high", priority=0))
-        assert q.claim(now=0.0).job_id == "high"
-        assert q.claim(now=0.0).job_id == "low"
-
     def test_insertion_order_breaks_ties(self):
         q = JobQueue()
         q.put(_job("first"))

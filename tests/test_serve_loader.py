@@ -8,7 +8,6 @@ from repro.serve.loader import (
     drift_statuses,
     publish_gateway,
     snapshot_from_network,
-    store_from_campaign,
     store_from_gateway,
     store_from_json,
     store_from_network,
@@ -89,9 +88,9 @@ class TestCampaignLoader:
             source="run",
         )
         result = CampaignResult(
-            assessments=assessments, ledger=ledger, metrics={}
+            assessments=assessments, ledger=ledger, metrics={"retries": 2}
         )
-        store = store_from_campaign(result)
+        store = store_from_network(result.network())
         snapshot = store.current()
         assert snapshot.n_nodes == len(assessments)
         assert set(snapshot.failures) == {"sn-bad", "sn-worse"}
@@ -99,6 +98,7 @@ class TestCampaignLoader:
         assert snapshot.failures["sn-bad"].error == "antenna unplugged"
         assert snapshot.failures["sn-worse"].error == "failed"
         assert snapshot.fleet_summary()["failures"] == 2
+        assert snapshot.metrics == {"retries": 2}
 
 
 class TestDriftStatuses:

@@ -27,7 +27,11 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, Mapping, Tuple, Union
+
+#: A read-time counter source: called on every ``count``/``summary``,
+#: it returns counter name -> current total.
+CounterSource = Callable[[], Mapping[str, int]]
 
 #: Histogram bucket ratio and range, seconds.
 BUCKET_RATIO = 2.0 ** (1.0 / 16.0)
@@ -98,20 +102,49 @@ class DurationHistogram:
 
 
 class MetricsRegistry:
-    """Named counters plus per-name duration histograms."""
+    """Named counters plus per-name duration histograms.
+
+    Counters come from two places: :meth:`incr`, and read-time
+    sources (:meth:`add_counter_source`) for components that already
+    count their own events, such as the stream broker's queues. A
+    source is read when a counter is, so the event it counts pays for
+    no second lock. Sources are called outside the registry lock, and
+    a source's zero totals are left out, like a counter never
+    incremented.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._timers: Dict[str, DurationHistogram] = {}
+        # Replaced, never mutated, so a reader needs no lock.
+        self._sources: Tuple[CounterSource, ...] = ()
 
     def incr(self, name: str, by: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + by
 
-    def count(self, name: str) -> int:
+    def add_counter_source(self, source: CounterSource) -> None:
+        """Report ``source()``'s totals as counters from now on.
+
+        A name that is also incremented reads as the sum of both.
+        """
         with self._lock:
-            return self._counters.get(name, 0)
+            self._sources = self._sources + (source,)
+
+    def _sourced(self) -> Dict[str, int]:
+        """Every source's nonzero totals, summed by name."""
+        totals: Dict[str, int] = {}
+        for source in self._sources:
+            for name, value in source().items():
+                if value:
+                    totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def count(self, name: str) -> int:
+        sourced = self._sourced().get(name, 0)
+        with self._lock:
+            return self._counters.get(name, 0) + sourced
 
     def observe(self, name: str, duration_s: float) -> None:
         with self._lock:
@@ -122,8 +155,11 @@ class MetricsRegistry:
 
     def summary(self) -> Dict[str, Union[int, float]]:
         """Flat dict: every counter, plus p50/p95/total per timer."""
+        sourced = self._sourced()
         with self._lock:
             out: Dict[str, Union[int, float]] = dict(self._counters)
+            for name, value in sourced.items():
+                out[name] = out.get(name, 0) + value
             for name, timer in self._timers.items():
                 out[f"{name}_p50_s"] = timer.percentile(50.0)
                 out[f"{name}_p95_s"] = timer.percentile(95.0)

@@ -30,7 +30,6 @@ from repro.airspace.traffic import TrafficSimulator
 from repro.cellular.cellmapper import TowerDatabase
 from repro.core.classify import (
     IndoorOutdoorClassifier,
-    classify_node,
     extract_features,
 )
 from repro.core.directional import DirectionalEvaluator
@@ -314,9 +313,7 @@ class CalibrationService:
         )
         profile = freq_eval.run(rng)
         features = extract_features(scan, fov, profile)
-        classification = classify_node(
-            scan, fov, profile, self.classifier
-        )
+        classification = self.classifier.classify(features)
         report = CalibrationReport(
             node_id=node.node_id,
             scan=scan,

@@ -38,17 +38,23 @@ class OverflowPolicy(enum.Enum):
 
 
 class PutResult(enum.Enum):
-    """Outcome of one publish attempt."""
+    """Outcome of one publish attempt.
+
+    Each member's ``accepted`` says whether the published record made
+    it into the queue; it is a plain attribute, read once per publish.
+    """
 
     OK = "ok"
     DROPPED_OLDEST = "dropped-oldest"
     REJECTED = "rejected"
     TIMEOUT = "timeout"
 
-    @property
-    def accepted(self) -> bool:
-        """Whether the published record made it into the queue."""
-        return self is PutResult.OK or self is PutResult.DROPPED_OLDEST
+    def __init__(self, value: str) -> None:
+        self.accepted = value in ("ok", "dropped-oldest")
+
+
+#: The common put outcome, bound once for the hot path.
+_OK = PutResult.OK
 
 
 @dataclass
@@ -119,40 +125,47 @@ class BoundedQueue:
         that long without space.
         """
         with self._lock:
-            if len(self._items) >= self.capacity:
-                if self.policy is OverflowPolicy.REJECT:
-                    self.stats.rejected += 1
-                    return PutResult.REJECTED
-                if self.policy is OverflowPolicy.DROP_OLDEST:
-                    self._items.popleft()
-                    self.stats.dropped_oldest += 1
-                    self._append(record)
-                    return PutResult.DROPPED_OLDEST
-                # BLOCK: wait for a consumer to make room.
-                self._putters += 1
-                try:
-                    has_room = self._not_full.wait_for(
-                        lambda: len(self._items) < self.capacity,
-                        timeout=timeout_s,
-                    )
-                finally:
-                    self._putters -= 1
-                if not has_room:
-                    self.stats.timeouts += 1
-                    return PutResult.TIMEOUT
-            self._append(record)
-            return PutResult.OK
+            items = self._items
+            result = _OK
+            if len(items) >= self.capacity:
+                result = self._make_room(timeout_s)
+                if not result.accepted:
+                    return result
+            items.append(record)
+            stats = self.stats
+            stats.enqueued += 1
+            if len(items) > stats.high_watermark:
+                stats.high_watermark = len(items)
+            if self._getters:
+                self._not_empty.notify()
+            return result
 
-    def _append(self, record: StreamRecord) -> None:
-        """Append under the held lock and update counters/waiters."""
-        items = self._items
-        items.append(record)
-        stats = self.stats
-        stats.enqueued += 1
-        if len(items) > stats.high_watermark:
-            stats.high_watermark = len(items)
-        if self._getters:
-            self._not_empty.notify()
+    def _make_room(self, timeout_s: Optional[float]) -> PutResult:
+        """Apply the overflow policy to a full queue, under the lock.
+
+        Returns how the pending put ends; the record is appended only
+        if the result is accepted.
+        """
+        if self.policy is OverflowPolicy.REJECT:
+            self.stats.rejected += 1
+            return PutResult.REJECTED
+        if self.policy is OverflowPolicy.DROP_OLDEST:
+            self._items.popleft()
+            self.stats.dropped_oldest += 1
+            return PutResult.DROPPED_OLDEST
+        # BLOCK: wait for a consumer to make room.
+        self._putters += 1
+        try:
+            has_room = self._not_full.wait_for(
+                lambda: len(self._items) < self.capacity,
+                timeout=timeout_s,
+            )
+        finally:
+            self._putters -= 1
+        if not has_room:
+            self.stats.timeouts += 1
+            return PutResult.TIMEOUT
+        return _OK
 
     def get(self, timeout_s: Optional[float] = None) -> Optional[StreamRecord]:
         """Pop the oldest record, waiting up to ``timeout_s``.
@@ -210,9 +223,11 @@ class StreamBroker:
     Attributes:
         capacity: per-node queue bound.
         policy: overflow policy applied to every queue.
-        metrics: shared registry mirroring the global counters
+        metrics: shared registry that reports the global counters
             (``broker_enqueued``, ``broker_dropped_oldest``,
-            ``broker_rejected``, ``broker_put_timeouts``).
+            ``broker_rejected``, ``broker_put_timeouts``), read from
+            the queues' :class:`QueueStats` through
+            :meth:`counter_totals`.
     """
 
     def __init__(
@@ -228,6 +243,7 @@ class StreamBroker:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queues: Dict[str, BoundedQueue] = {}
         self._lock = threading.Lock()
+        self.metrics.add_counter_source(self.counter_totals)
 
     def queue_for(self, node_id: str) -> BoundedQueue:
         """The node's queue, created on first use.
@@ -251,19 +267,12 @@ class StreamBroker:
         record: StreamRecord,
         timeout_s: Optional[float] = None,
     ) -> PutResult:
-        """Publish one record to a node's queue."""
-        result = self.queue_for(node_id).put(record, timeout_s=timeout_s)
-        # The common outcome first: each enum member lookup costs.
-        if result is PutResult.OK:
-            self.metrics.incr("broker_enqueued")
-        elif result is PutResult.DROPPED_OLDEST:
-            self.metrics.incr("broker_dropped_oldest")
-            self.metrics.incr("broker_enqueued")
-        elif result is PutResult.REJECTED:
-            self.metrics.incr("broker_rejected")
-        else:
-            self.metrics.incr("broker_put_timeouts")
-        return result
+        """Publish one record to a node's queue.
+
+        The queue's :class:`QueueStats` count the outcome; the
+        registry reads them back (see :meth:`counter_totals`).
+        """
+        return self.queue_for(node_id).put(record, timeout_s)
 
     def node_ids(self) -> List[str]:
         """Nodes that have (or had) a queue, sorted."""
@@ -278,12 +287,30 @@ class StreamBroker:
 
     def total_dropped(self) -> int:
         """Drops + rejections + timeouts across all queues."""
+        totals = self.counter_totals()
+        return (
+            totals["broker_dropped_oldest"]
+            + totals["broker_rejected"]
+            + totals["broker_put_timeouts"]
+        )
+
+    def counter_totals(self) -> Dict[str, int]:
+        """The registry's broker counters, summed over every queue."""
         with self._lock:
             queues = list(self._queues.values())
-        return sum(
-            q.stats.dropped_oldest + q.stats.rejected + q.stats.timeouts
-            for q in queues
-        )
+        enqueued = dropped = rejected = timeouts = 0
+        for queue in queues:
+            stats = queue.stats
+            enqueued += stats.enqueued
+            dropped += stats.dropped_oldest
+            rejected += stats.rejected
+            timeouts += stats.timeouts
+        return {
+            "broker_enqueued": enqueued,
+            "broker_dropped_oldest": dropped,
+            "broker_rejected": rejected,
+            "broker_put_timeouts": timeouts,
+        }
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-node counter snapshot."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.adsb.icao import IcaoAddress
-from repro.core.classify import classify_node, extract_features
+from repro.core.classify import IndoorOutdoorClassifier, extract_features
 from repro.core.frequency import FrequencyProfile
 from repro.core.network import NodeAssessment, TrustEvaluator
 from repro.core.observations import AircraftObservation
@@ -194,13 +194,14 @@ class OnlineCalibrationEngine:
         scan = self.window.to_scan(self.node_id, self.config.radius_m)
         fov = self.sector.estimate(scan)
         profile = FrequencyProfile(node_id=self.node_id)
+        features = extract_features(scan, fov, profile)
         report = CalibrationReport(
             node_id=self.node_id,
             scan=scan,
             fov=fov,
             profile=profile,
-            features=extract_features(scan, fov, profile),
-            classification=classify_node(scan, fov, profile),
+            features=features,
+            classification=IndoorOutdoorClassifier().classify(features),
         )
         return NodeAssessment(
             node_id=self.node_id,

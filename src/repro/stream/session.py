@@ -131,10 +131,9 @@ class NodeSession:
         # Keyed by ``IcaoAddress.value``: a plain int hashes and
         # compares in C, and sorts in the same order as the address.
         self._tallies: Dict[int, _LiveTally] = {}
-        # Exact record type -> handler, in the order subclasses are
-        # matched (a record type's subclass dispatches as its base).
+        # Exact record type -> handler for every record but an SBS
+        # line, which ``handle`` consumes itself.
         self._handlers: Dict[type, Callable[..., None]] = {
-            SbsLineRecord: self._handle_sbs,
             TruthBatchRecord: self._handle_truth,
             ObservationRecord: self._handle_observation,
             GhostRecord: self._handle_ghost,
@@ -145,16 +144,26 @@ class NodeSession:
         """Consume one record; malformed input never raises.
 
         Dispatch is on the record's exact type, falling back to an
-        ``isinstance`` match for subclasses of the record types. A
-        non-record raises ``TypeError`` before any counter moves.
-        Every record is counted in ``counters.records``; one stamped
-        NaN or infinite, or before the open window's start, is then
-        quarantined and never reaches the engine or the liveness
-        clock.
+        ``isinstance`` match for subclasses of the record types (an
+        SBS line first). A non-record raises ``TypeError`` before any
+        counter moves. Every record is counted in
+        ``counters.records``; one stamped NaN or infinite, or before
+        the open window's start, is then quarantined and never reaches
+        the engine or the liveness clock.
+
+        An SBS line, the bulk of a live stream, is handled here in
+        this frame: the join reads only the address, so the line is
+        validated by :func:`~repro.adsb.sbs.sbs_icao` rather than
+        parsed into a record, and an :class:`IcaoAddress` is built
+        only when an ICAO first appears in a window. The clock
+        advances before the line is tallied, so a line that closes a
+        window is tallied in the next one.
         """
-        handler = self._handlers.get(type(record))
-        if handler is None:
-            handler = self._subclass_handler(record)
+        handler = None
+        if type(record) is not SbsLineRecord:
+            handler = self._handlers.get(type(record))
+            if handler is None:
+                handler = self._subclass_handler(record)
         counters = self.counters
         counters.records += 1
         time_s = record.time_s
@@ -172,12 +181,39 @@ class NodeSession:
             return
         if time_s > self.last_seen_s:
             self.last_seen_s = time_s
-        handler(record)
+        if handler is not None:
+            handler(record)
+            return
+        line = record.line.strip()
+        if not line:
+            counters.blank_lines += 1
+            engine.advance(time_s)
+            return
+        try:
+            key = sbs_icao(line)
+        except ValueError as exc:
+            counters.malformed_lines += 1
+            self.quarantine.append((time_s, line, str(exc)))
+            engine.advance(time_s)
+            return
+        counters.sbs_lines += 1
+        engine.advance(time_s)
+        tally = self._tallies.get(key)
+        if tally is None:
+            tally = self._tallies[key] = _LiveTally(IcaoAddress(key))
+        tally.n_messages += 1
+        tally.last_time_s = time_s
 
     def _quarantine(self, record: StreamRecord, error: str) -> None:
         self.quarantine.append((record.time_s, type(record).__name__, error))
 
-    def _subclass_handler(self, record: object) -> Callable[..., None]:
+    def _subclass_handler(
+        self, record: object
+    ) -> Optional[Callable[..., None]]:
+        """The handler for a subclass of a record type (``None``: an
+        SBS line, which ``handle`` consumes itself)."""
+        if isinstance(record, SbsLineRecord):
+            return None
         for record_type, handler in self._handlers.items():
             if isinstance(record, record_type):
                 return handler
@@ -196,35 +232,7 @@ class NodeSession:
         self.engine.advance(record.time_s)
 
     # ------------------------------------------------------------------
-    # live SBS path
-
-    def _handle_sbs(self, record: SbsLineRecord) -> None:
-        """Tally one SBS line's ICAO in the open window.
-
-        The join reads only the address, so the line is validated by
-        :func:`~repro.adsb.sbs.sbs_icao` rather than parsed into a
-        record; an :class:`IcaoAddress` is built only when an ICAO
-        first appears in a window.
-        """
-        line = record.line.strip()
-        if not line:
-            self.counters.blank_lines += 1
-            self.engine.advance(record.time_s)
-            return
-        try:
-            key = sbs_icao(line)
-        except ValueError as exc:
-            self.counters.malformed_lines += 1
-            self.quarantine.append((record.time_s, line, str(exc)))
-            self.engine.advance(record.time_s)
-            return
-        self.counters.sbs_lines += 1
-        self.engine.advance(record.time_s)
-        tally = self._tallies.get(key)
-        if tally is None:
-            tally = self._tallies[key] = _LiveTally(IcaoAddress(key))
-        tally.n_messages += 1
-        tally.last_time_s = record.time_s
+    # live truth join
 
     def _handle_truth(self, record: TruthBatchRecord) -> None:
         """Join one tracker snapshot against the window's tallies."""

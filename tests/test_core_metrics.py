@@ -147,3 +147,38 @@ class TestRegistry:
         total = sum(summary[f"t{j}_total_s"] for j in range(n_timers))
         expected = sum(1e-4 * (1 + k) for k in range(n_threads))
         assert total == pytest.approx(expected * per_thread)
+
+    def test_counter_sources_are_read_at_read_time(self):
+        registry = MetricsRegistry()
+        totals = {"queued": 0, "shed": 0}
+        registry.add_counter_source(lambda: dict(totals))
+        # A source's zero totals stay absent, like an untouched counter.
+        assert registry.summary() == {}
+        assert registry.count("queued") == 0
+        totals["queued"] = 5
+        registry.incr("queued", 2)
+        registry.incr("jobs")
+        assert registry.summary() == {"jobs": 1, "queued": 7}
+        assert registry.count("queued") == 7
+        assert registry.count("shed") == 0
+        registry.add_counter_source(lambda: {"shed": 3, "queued": 1})
+        assert registry.summary() == {"jobs": 1, "queued": 8, "shed": 3}
+        assert registry.count("shed") == 3
+
+    def test_sources_run_outside_the_registry_lock(self):
+        registry = MetricsRegistry()
+
+        def source():
+            # Would deadlock if the registry held its lock here.
+            registry.incr("source_reads")
+            return {"seen": 1}
+
+        registry.add_counter_source(source)
+        thread = threading.Thread(
+            target=lambda: (registry.summary(), registry.count("seen")),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert registry.count("source_reads") == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.adsb.icao import IcaoAddress
+from repro.core.classify import InstallationFeatures
 from repro.core.directional import DirectionalEvaluator
 from repro.core.frequency import FrequencyEvaluator
 from repro.core.network import (
@@ -223,6 +224,24 @@ class TestCalibrationService:
         node = SensorNode("n4", world.testbed.site("window"))
         service.evaluate_node(node, seed=4)
         assert calls == ["DirectionalEvaluator", "FrequencyEvaluator"]
+
+    def test_features_extracted_once_per_node(
+        self, service, world, monkeypatch
+    ):
+        built = []
+        original = InstallationFeatures.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(InstallationFeatures, "__init__", counting)
+        node = SensorNode("n5", world.testbed.site("rooftop"))
+        report = service.evaluate_node(node, seed=5).report
+        assert len(built) == 1
+        assert report.classification == service.classifier.classify(
+            report.features
+        )
 
 
 class _ExplodingFabrication:

@@ -1,9 +1,13 @@
 """Tests for the bounded stream broker and its overflow policies."""
 
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsRegistry
 from repro.stream import (
@@ -236,3 +240,134 @@ class TestStreamBroker:
         assert broker.metrics.summary()["broker_rejected"] == 1
         assert broker.stats()["a"]["rejected"] == 1
         assert broker.total_dropped() == 1
+
+
+#: Registry counters each put outcome moves.
+_OUTCOME_COUNTERS = {
+    PutResult.OK: ("broker_enqueued",),
+    PutResult.DROPPED_OLDEST: ("broker_enqueued", "broker_dropped_oldest"),
+    PutResult.REJECTED: ("broker_rejected",),
+    PutResult.TIMEOUT: ("broker_put_timeouts",),
+}
+
+#: Each registry counter's :class:`QueueStats` field.
+_STATS_FIELDS = {
+    "broker_enqueued": "enqueued",
+    "broker_dropped_oldest": "dropped_oldest",
+    "broker_rejected": "rejected",
+    "broker_put_timeouts": "timeouts",
+}
+
+
+def _broker_counters(metrics):
+    return {
+        name: value
+        for name, value in metrics.summary().items()
+        if name.startswith("broker_")
+    }
+
+
+class TestCountedOnce:
+    """The registry's broker counters are the queues' own counts."""
+
+    @pytest.mark.parametrize(
+        "policy, outcome",
+        [
+            (OverflowPolicy.BLOCK, PutResult.TIMEOUT),
+            (OverflowPolicy.DROP_OLDEST, PutResult.DROPPED_OLDEST),
+            (OverflowPolicy.REJECT, PutResult.REJECTED),
+        ],
+    )
+    def test_each_outcome_counted_once(self, policy, outcome):
+        metrics = MetricsRegistry()
+        broker = StreamBroker(capacity=1, policy=policy, metrics=metrics)
+        assert _broker_counters(metrics) == {}
+        assert broker.publish("a", _hb(1.0), 0.0) is PutResult.OK
+        assert _broker_counters(metrics) == {"broker_enqueued": 1}
+        assert broker.publish("a", _hb(2.0), 0.0) is outcome
+        expected = Counter(
+            _OUTCOME_COUNTERS[PutResult.OK] + _OUTCOME_COUNTERS[outcome]
+        )
+        assert _broker_counters(metrics) == dict(expected)
+        for name, value in expected.items():
+            assert metrics.count(name) == value
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(OverflowPolicy)),
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(st.booleans(), st.sampled_from("abc")), max_size=40
+        ),
+    )
+    def test_registry_matches_summed_queue_stats(
+        self, policy, capacity, steps
+    ):
+        metrics = MetricsRegistry()
+        broker = StreamBroker(capacity, policy, metrics=metrics)
+        outcomes = Counter()
+        for k, (publish, node_id) in enumerate(steps):
+            if publish:
+                result = broker.publish(node_id, _hb(float(k)), 0.0)
+                outcomes.update(_OUTCOME_COUNTERS[result])
+            else:
+                broker.queue_for(node_id).drain()
+        counters = _broker_counters(metrics)
+        # An outcome that never happened has no key.
+        assert counters == dict(outcomes)
+        per_node = broker.stats().values()
+        for name, field in _STATS_FIELDS.items():
+            assert counters.get(name, 0) == sum(s[field] for s in per_node)
+            assert metrics.count(name) == counters.get(name, 0)
+
+    def test_polling_while_queues_open_is_exact(self):
+        metrics = MetricsRegistry()
+        capacity, per_node, n_nodes, n_producers = 4, 6, 40, 4
+        broker = StreamBroker(
+            capacity, OverflowPolicy.REJECT, metrics=metrics
+        )
+        stop = threading.Event()
+        errors = []
+        seen = []
+
+        def produce(p):
+            # Every record goes to a queue this producer opens.
+            for n in range(n_nodes):
+                for k in range(per_node):
+                    broker.publish(f"p{p}-n{n}", _hb(float(k)))
+
+        def poll():
+            try:
+                while not stop.is_set():
+                    summary = metrics.summary()
+                    seen.append(summary.get("broker_enqueued", 0))
+                    metrics.count("broker_rejected")
+            except Exception as exc:
+                errors.append(exc)
+
+        poller = threading.Thread(target=poll, daemon=True)
+        producers = [
+            threading.Thread(target=produce, args=(p,))
+            for p in range(n_producers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            poller.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join()
+        finally:
+            stop.set()
+            poller.join(timeout=JOIN_S)
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive()
+        assert errors == []
+        assert seen and seen == sorted(seen)
+        queues = n_producers * n_nodes
+        assert len(broker.node_ids()) == queues
+        assert _broker_counters(metrics) == {
+            "broker_enqueued": queues * capacity,
+            "broker_rejected": queues * (per_node - capacity),
+        }

@@ -608,10 +608,35 @@ class _RecordingSession(NodeSession):
 
 
 class _ParsingSession(_RecordingSession):
-    """The SBS path as it was before the scanner: every line parsed
-    into a full ``SbsRecord`` by ``parse_sbs``."""
+    """The SBS path as it was before the scanner and the one-frame
+    ``handle``: the line checked in ``handle``, then consumed by its own
+    handler, with every line parsed into a full ``SbsRecord`` by
+    ``parse_sbs``."""
 
-    def _handle_sbs(self, record):
+    def handle(self, record):
+        if not isinstance(record, SbsLineRecord):
+            super().handle(record)
+            return
+        self.counters.records += 1
+        time_s = record.time_s
+        if not math.isfinite(time_s):
+            self.counters.bad_timestamps += 1
+            self._quarantine(record, f"non-finite timestamp {time_s!r}")
+            return
+        window_start_s = (
+            self.engine.window_index * self.engine.config.window_s
+        )
+        if time_s < window_start_s:
+            self.counters.late_records += 1
+            self._quarantine(
+                record, f"late record: window opened at {window_start_s!r}"
+            )
+            return
+        if time_s > self.last_seen_s:
+            self.last_seen_s = time_s
+        self._handle_parsed_sbs(record)
+
+    def _handle_parsed_sbs(self, record):
         line = record.line.strip()
         if not line:
             self.counters.blank_lines += 1
@@ -668,6 +693,24 @@ _records = st.one_of(
 )
 
 
+class _TaggedSbsLine(SbsLineRecord):
+    """A publisher's own SBS record type: dispatches as an SBS line."""
+
+
+class _TaggedHeartbeat(HeartbeatRecord):
+    """A publisher's own heartbeat type: dispatches as a heartbeat."""
+
+
+#: ``_records`` plus subclasses of the record types, and runs of
+#: intact lines so the tallies build up across windows.
+_mixed_records = st.one_of(
+    _records,
+    st.builds(SbsLineRecord, st.floats(0.0, 100.0), _sbs_lines()),
+    st.builds(_TaggedSbsLine, _stamps, _damaged_lines),
+    st.builds(_TaggedHeartbeat, _stamps),
+)
+
+
 class TestSbsScannerPath:
     """The live SBS path builds only the addresses the join keeps."""
 
@@ -701,16 +744,21 @@ class TestSbsScannerPath:
         session.handle(HeartbeatRecord(90.0))
         assert session.counters.ghosts == 6
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_records, max_size=40), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_mixed_records, max_size=60), st.integers(1, 8))
     def test_same_dispositions_as_parsing_every_line(self, records, cap):
+        # Valid, malformed and blank lines, late and non-finite stamps,
+        # truth batches, heartbeats and record subclasses, interleaved:
+        # the one-frame SBS path matches the parsing reference's
+        # counters, quarantine, per-window tallies and ghost flushes,
+        # record by record.
         scanning = _RecordingSession(
             "n", receiver_position=RECEIVER, quarantine_cap=cap
         )
         parsing = _ParsingSession(
             "n", receiver_position=RECEIVER, quarantine_cap=cap
         )
-        for record in records + [HeartbeatRecord(120.0)]:
+        for record in records + [HeartbeatRecord(200.0)]:
             scanning.handle(record)
             parsing.handle(record)
             assert _state(scanning) == _state(parsing)

@@ -16,7 +16,7 @@ Commands:
 - ``trust`` — run the fabrication-detection experiment.
 - ``fleet [--workers N] [--cache-dir DIR] [--max-jobs N]`` —
   calibrate the 12-node fleet through the :mod:`repro.runtime`
-  campaign machinery (parallel workers, retries, result cache) and
+  campaign machinery (parallel workers, result cache) and
   print the marketplace. A run stopped early resumes when rerun on
   the same ``--cache-dir``.
 - ``schedule --windows N`` — compare measurement-scheduling
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_cmd.add_argument(
         "--fail-node", metavar="NODE_ID",
         help="inject a crash fault into one node to exercise "
-        "retry/partial-failure handling",
+        "partial-failure handling",
     )
     fleet_cmd.add_argument(
         "--json", metavar="FILE",

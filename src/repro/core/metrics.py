@@ -1,7 +1,7 @@
 """Shared metrics: counters and latency percentiles.
 
 Just enough observability for a campaign or stream summary — jobs
-run, retries, cache hits, records consumed, p50/p95 latencies —
+run and failed, cache hits, records consumed, p50/p95 latencies —
 without pulling in a metrics dependency. Thread-safe, since both the
 runtime's worker pool and the stream gateway's consumers record from
 many threads at once.

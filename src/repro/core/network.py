@@ -252,7 +252,7 @@ class NetworkAssessments(Dict[str, "NodeAssessment"]):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.failures: Dict[str, AssessmentFailure] = {}
-        #: Campaign-level counters (path-cache hits, retries, ...)
+        #: Campaign-level counters (path-cache hits, failed jobs, ...)
         #: attached by the producer; empty for plain batch runs.
         self.metrics: Dict[str, Union[int, float]] = {}
 

@@ -428,8 +428,8 @@ def network_to_dict(
         },
     }
     if network.metrics:
-        # Campaign counters (path-cache effectiveness, retries, job
-        # latencies) ride along so `repro serve --source file` can
+        # Campaign counters (path-cache effectiveness, failed jobs,
+        # job latencies) ride along so `repro serve --source file` can
         # surface them; plain batch evaluations omit the key.
         out["metrics"] = dict(network.metrics)
     return out

@@ -8,7 +8,7 @@ uploads rejected outright. No human visited any site.
 
 Since the runtime PR the calibration itself goes through
 :mod:`repro.runtime`: every node becomes a :class:`CalibrationJob`
-executed by a worker pool with retries and a content-addressed result
+run exactly once by a worker pool, with a content-addressed result
 cache, which is also what a stopped campaign resumes from when it is
 rerun on the same ``cache_dir``. ``workers=1`` (the default) is the
 serial degenerate case — per-node seeds are assigned exactly as the

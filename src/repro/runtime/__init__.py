@@ -8,12 +8,10 @@ in a for-loop" toward that fleet:
 - :mod:`repro.runtime.jobs` — value-typed job specs with a
   deterministic content hash of (node config, world seed, pipeline
   version);
-- :mod:`repro.runtime.queue` — in-memory first-in-first-out queue
-  with an explicit per-job state machine (PENDING → RUNNING →
-  DONE/FAILED/RETRYING);
-- :mod:`repro.runtime.workers` — a thread pool with per-job
-  timeouts and exponential-backoff retries; ``workers=1`` is the
-  serial degenerate case, bit-identical to the historical loop;
+- :mod:`repro.runtime.workers` — runs each job exactly once, on a
+  thread pool or, with ``workers=1``, inline in the calling thread
+  (bit-identical to the historical loop); a job that raises ends
+  FAILED;
 - :mod:`repro.runtime.cache` — content-addressed result cache
   (memory + JSON-on-disk) so unchanged nodes skip recomputation;
 - :mod:`repro.runtime.campaign` — whole-fleet orchestration with
@@ -47,18 +45,10 @@ from repro.runtime.jobs import (
     build_fabrication,
 )
 from repro.core.metrics import MetricsRegistry, percentile
-from repro.runtime.queue import (
-    InvalidTransition,
-    JobQueue,
-    JobRecord,
-    JobState,
-)
 from repro.runtime.workers import (
     JobOutcome,
-    RetryPolicy,
-    SystemClock,
     execute_job,
-    run_queue,
+    run_jobs,
 )
 
 __all__ = [
@@ -69,23 +59,17 @@ __all__ = [
     "CrashingFabricator",
     "FleetCampaign",
     "InjectedFault",
-    "InvalidTransition",
     "JobLedgerEntry",
     "JobOutcome",
-    "JobQueue",
-    "JobRecord",
-    "JobState",
     "MetricsRegistry",
     "NodeSpec",
     "ResultCache",
-    "RetryPolicy",
-    "SystemClock",
     "WorldSpec",
     "build_fabrication",
     "execute_job",
     "fleet_jobs",
     "percentile",
     "run_fleet_campaign",
-    "run_queue",
+    "run_jobs",
     "standard_fleet_specs",
 ]

@@ -1,28 +1,29 @@
 """Fleet campaigns: calibrate a whole network as one resumable run.
 
 A campaign takes a list of :class:`CalibrationJob` specs and drives
-them to terminal states through the cache, the queue, and the worker
-pool, in that order:
+them to terminal states through the cache and the worker pool, in
+that order:
 
 1. jobs whose content key is already in the result cache are
    restored without recomputation;
-2. everything else is enqueued and executed with retries; a job that
-   exhausts its attempts ends FAILED without sinking the campaign.
+2. everything else runs exactly once; a job that raises ends FAILED
+   without sinking the campaign. A job is a pure function of its
+   content key, so running it again would raise again.
 
 Every finished job is put into the result cache as it completes, so
 with ``cache_dir`` set a killed (or ``stop_after``-limited) campaign
 resumes from its last completed job: rerun it on the same directory
 and the done jobs are cache hits. Failed and deferred jobs are never
 cached, so they run again. The summary ledger and metrics (jobs run,
-retries, cache hits, latency percentiles) make partial runs auditable.
+jobs failed, cache hits, latency percentiles) make partial runs
+auditable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
@@ -44,15 +45,12 @@ from repro.runtime.jobs import (
     WorldSpec,
 )
 from repro.core.metrics import MetricsRegistry
-from repro.runtime.queue import JobQueue, JobState
 from repro.runtime.workers import (
-    Clock,
-    JobOutcome,
-    RetryPolicy,
+    Runner,
     execute_job,
+    run_jobs,
     seed_world_cache,
 )
-from repro.runtime.workers import run_queue as _run_queue
 
 if TYPE_CHECKING:
     from repro.experiments.common import World
@@ -90,8 +88,6 @@ def fleet_jobs(
     seed: int = 95,
     world: Optional[WorldSpec] = None,
     specs: Optional[Sequence[NodeSpec]] = None,
-    max_attempts: int = 3,
-    timeout_s: Optional[float] = None,
     fail_node: Optional[str] = None,
 ) -> List[CalibrationJob]:
     """Jobs for a fleet campaign, seeded exactly like the serial path.
@@ -108,15 +104,7 @@ def fleet_jobs(
     for i, spec in enumerate(specs):
         if fail_node is not None and spec.node_id == fail_node:
             spec = replace(spec, fabrication="crash")
-        jobs.append(
-            CalibrationJob(
-                node=spec,
-                world=world,
-                seed=seed + i,
-                max_attempts=max_attempts,
-                timeout_s=timeout_s,
-            )
-        )
+        jobs.append(CalibrationJob(node=spec, world=world, seed=seed + i))
     return jobs
 
 
@@ -152,8 +140,7 @@ class JobLedgerEntry:
     key: str
     state: str  # "done" | "failed" | "pending"
     source: str  # "run" | "cache" | "deferred"
-    attempts: int = 0
-    errors: List[str] = field(default_factory=list)
+    error: Optional[str] = None
     duration_s: float = 0.0
 
 
@@ -195,7 +182,7 @@ class CampaignResult:
         for entry in self.failed():
             network.failures[entry.job_id] = AssessmentFailure(
                 node_id=entry.job_id,
-                error=entry.errors[-1] if entry.errors else "failed",
+                error=entry.error or "failed",
                 exception_type="JobFailed",
             )
         network.metrics = dict(self.metrics)
@@ -217,7 +204,6 @@ class CampaignResult:
             ),
             f"  jobs run: {self.metrics.get('jobs_done', 0)}"
             f" (+{self.metrics.get('jobs_failed', 0)} failed),"
-            f" retries: {self.metrics.get('retries', 0)},"
             f" cache hits: {self.metrics.get('cache_hits', 0)}",
         ]
         p50 = self.metrics.get("job_latency_p50_s")
@@ -227,11 +213,7 @@ class CampaignResult:
                 f"  job latency: p50 {p50:.2f}s, p95 {p95:.2f}s"
             )
         for entry in self.failed():
-            last = entry.errors[-1] if entry.errors else "?"
-            lines.append(
-                f"  FAILED {entry.job_id} after {entry.attempts} "
-                f"attempts: {last}"
-            )
+            lines.append(f"  FAILED {entry.job_id}: {entry.error}")
         return "\n".join(lines)
 
 
@@ -244,11 +226,7 @@ class FleetCampaign:
         config: Optional[CampaignConfig] = None,
         world: Optional[World] = None,
         cache: Optional[ResultCache] = None,
-        runner: Optional[
-            Callable[[CalibrationJob], NodeAssessment]
-        ] = None,
-        clock: Optional[Clock] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        runner: Optional[Runner] = None,
     ) -> None:
         self.jobs = list(jobs)
         ids = [j.job_id for j in self.jobs]
@@ -261,8 +239,6 @@ class FleetCampaign:
             else ResultCache(self.config.cache_dir)
         )
         self.runner = runner if runner is not None else execute_job
-        self.clock = clock
-        self.retry_policy = retry_policy
         if world is not None:
             # Share the caller's already-built world with thread and
             # serial workers instead of rebuilding it from its spec.
@@ -312,41 +288,25 @@ class FleetCampaign:
                 )
             to_run = to_run[: config.stop_after]
 
-        queue = JobQueue()
-        for job in to_run:
-            queue.put(job)
-
-        def on_outcome(outcome: JobOutcome) -> None:
+        for outcome in run_jobs(to_run, config.workers, self.runner):
             key = keys[outcome.job_id]
-            if outcome.state is JobState.DONE:
+            if outcome.state == "done":
                 assert outcome.assessment is not None
                 assessments[outcome.job_id] = outcome.assessment
                 # Cache every finished job at once: with a cache_dir,
                 # a kill at any point loses only the jobs in flight.
                 self.cache.put(key, outcome.assessment)
+                metrics.incr("jobs_done")
+                metrics.observe("job_latency", outcome.duration_s)
+            else:
+                metrics.incr("jobs_failed")
             ledger[outcome.job_id] = JobLedgerEntry(
                 job_id=outcome.job_id,
                 key=key,
-                state=(
-                    "done"
-                    if outcome.state is JobState.DONE
-                    else "failed"
-                ),
+                state=outcome.state,
                 source="run",
-                attempts=outcome.attempts,
-                errors=list(outcome.errors),
+                error=outcome.error,
                 duration_s=outcome.duration_s,
-            )
-
-        if to_run:
-            _run_queue(
-                queue,
-                workers=config.workers,
-                runner=self.runner,
-                retry_policy=self.retry_policy,
-                clock=self.clock,
-                metrics=metrics,
-                on_outcome=on_outcome,
             )
 
         record_path_cache_metrics(metrics, path_cache_before)
@@ -378,16 +338,12 @@ def run_fleet_campaign(
     seed: int = 95,
     config: Optional[CampaignConfig] = None,
     world: Optional[World] = None,
-    max_attempts: int = 3,
-    timeout_s: Optional[float] = None,
     fail_node: Optional[str] = None,
 ) -> CampaignResult:
     """Build and run the standard 12-node fleet campaign."""
     jobs = fleet_jobs(
         seed=seed,
         world=None if world is None else WorldSpec.from_world(world),
-        max_attempts=max_attempts,
-        timeout_s=timeout_s,
         fail_node=fail_node,
     )
     campaign = FleetCampaign(jobs, config=config, world=world)

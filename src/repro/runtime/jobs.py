@@ -50,9 +50,9 @@ class InjectedFault(RuntimeError):
 class CrashingFabricator:
     """Fault injection: the node dies while reporting its scan.
 
-    Used to exercise the runtime's partial-failure path (retries,
-    FAILED jobs, campaigns that survive a crashing node) through the
-    exact code path a real mid-measurement crash would take.
+    Used to exercise the runtime's partial-failure path (FAILED jobs,
+    campaigns that survive a crashing node) through the exact code
+    path a real mid-measurement crash would take.
     """
 
     message: str = "injected node fault"
@@ -167,23 +167,14 @@ class NodeSpec:
 class CalibrationJob:
     """One schedulable unit of work: calibrate one node.
 
-    ``max_attempts`` and ``timeout_s`` are execution
-    policy and deliberately excluded from the content key — they
-    change *how* the job runs, never what it computes.
+    Every field joins the content key, so a job is a pure function of
+    it: the runtime runs each job once and never retries.
     """
 
     node: NodeSpec
     world: WorldSpec = field(default_factory=WorldSpec)
     seed: int = 0
-    max_attempts: int = 3
-    timeout_s: Optional[float] = None
     pipeline_version: str = PIPELINE_VERSION
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1: {self.max_attempts}"
-            )
 
     @property
     def job_id(self) -> str:

@@ -35,7 +35,7 @@ def snapshot_from_network(
     """One snapshot from a batch network evaluation.
 
     Campaign counters attached to the network (``network.metrics`` —
-    path-cache effectiveness, retries) carry over to the snapshot, so
+    path-cache effectiveness, failed jobs) carry over to the snapshot, so
     a served `repro fleet --json` dump keeps its observability.
     """
     return FleetSnapshot(

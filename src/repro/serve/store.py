@@ -135,7 +135,7 @@ class FleetSnapshot:
         self.drift: Dict[str, DriftStatus] = dict(drift or {})
         self.generation = generation
         #: Counters from the campaign that produced this snapshot
-        #: (path-cache hits/misses, retries, latencies); empty when
+        #: (path-cache hits/misses, failed jobs, latencies); empty when
         #: the producer was not a campaign.
         self.metrics: Dict[str, Any] = dict(metrics or {})
         self.columns = FleetColumns.build(self.assessments)

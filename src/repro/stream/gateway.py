@@ -73,7 +73,6 @@ class StreamGateway:
         #: Claimed receiver positions, needed only for live SBS joins.
         self.positions = dict(positions or {})
         self.sessions: Dict[str, NodeSession] = {}
-        self.evicted_sessions: List[str] = []
         # Guards the session/eviction maps: the benchmark drives one
         # gateway from several producer and consumer threads at once,
         # and get-or-create on a bare dict is a lost-session race.
@@ -187,9 +186,8 @@ class StreamGateway:
             for node_id in evicted:
                 del self.sessions[node_id]
                 del self._drain_locks[node_id]
-                self.evicted_sessions.append(node_id)
-        for _ in evicted:
-            self.metrics.incr("stream_sessions_evicted")
+        if evicted:
+            self.metrics.incr("stream_sessions_evicted", len(evicted))
         return evicted
 
     # ------------------------------------------------------------------

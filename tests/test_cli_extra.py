@@ -42,6 +42,19 @@ class TestFleetCommand:
         assert doc["failures"] == {}
         assert doc["metrics"]["jobs_deferred"] == 9
 
+    def test_fleet_fail_node_runs_crashed_job_once(self, tmp_path, capsys):
+        path = tmp_path / "fleet.json"
+        args = ["fleet", "--fail-node", "rooftop-1", "--json", str(path)]
+        assert main(args) == 0
+        doc = json.loads(path.read_text())
+        assert len(doc["assessments"]) == 11
+        assert list(doc["failures"]) == ["rooftop-1"]
+        failure = doc["failures"]["rooftop-1"]
+        assert failure["error"] == "InjectedFault: injected node fault"
+        assert doc["metrics"]["jobs_failed"] == 1
+        assert "retries" not in doc["metrics"]
+        assert "FAILED rooftop-1: InjectedFault" in capsys.readouterr().out
+
 
 class TestCrosscheckCommand:
     def test_crosscheck(self, capsys):

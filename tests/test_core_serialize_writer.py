@@ -114,7 +114,6 @@ def campaign_with_failures(world) -> NetworkAssessments:
     jobs = fleet_jobs(
         seed=12,
         world=WorldSpec(traffic_seed=TRAFFIC_SEED),
-        max_attempts=1,
         fail_node="window-1",
     )
     result = FleetCampaign(jobs, world=world).run()
@@ -122,7 +121,7 @@ def campaign_with_failures(world) -> NetworkAssessments:
     for entry in result.failed():
         network.failures[entry.job_id] = AssessmentFailure(
             node_id=entry.job_id,
-            error=entry.errors[-1],
+            error=entry.error,
             exception_type="JobFailed",
         )
     network.metrics = {

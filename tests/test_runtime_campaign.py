@@ -7,6 +7,8 @@ the end-to-end runtime path is covered by the fleet experiment tests
 and the runtime benchmark.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.network import NetworkAssessments
@@ -20,17 +22,13 @@ from repro.runtime.campaign import (
     standard_fleet_specs,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.jobs import CalibrationJob, NodeSpec
-from repro.runtime.workers import RetryPolicy
+from repro.runtime.jobs import CalibrationJob, NodeSpec, WorldSpec
+from repro.runtime.workers import execute_job
 
 
-def _jobs(*node_ids, max_attempts=1, seed=10):
+def _jobs(*node_ids, seed=10):
     return [
-        CalibrationJob(
-            node=NodeSpec(node_id, "rooftop"),
-            seed=seed + i,
-            max_attempts=max_attempts,
-        )
+        CalibrationJob(node=NodeSpec(node_id, "rooftop"), seed=seed + i)
         for i, node_id in enumerate(node_ids)
     ]
 
@@ -94,23 +92,32 @@ class TestCampaignRun:
             FleetCampaign(_jobs("a", "a"), runner=runner)
 
     def test_failed_job_does_not_sink_campaign(self, make_assessment):
-        def runner(job):
-            if job.job_id == "bad":
-                raise RuntimeError("node crashed")
-            return make_assessment(job.node.node_id)
+        for workers in (1, 4):
+            calls = []
 
-        result = FleetCampaign(
-            _jobs("good-1", "bad", "good-2", max_attempts=3),
-            runner=runner,
-            retry_policy=RetryPolicy(base_delay_s=0.0, jitter=0.0),
-        ).run()
-        assert set(result.assessments) == {"good-1", "good-2"}
-        assert result.state_counts() == {"done": 2, "failed": 1}
-        (entry,) = result.failed()
-        assert entry.job_id == "bad"
-        assert entry.attempts == 3
-        assert result.metrics["retries"] == 2
-        assert "FAILED bad" in result.summary_text()
+            def runner(job):
+                calls.append(job.job_id)
+                if job.job_id == "bad":
+                    raise RuntimeError("node crashed")
+                return make_assessment(job.node.node_id)
+
+            result = FleetCampaign(
+                _jobs("good-1", "bad", "good-2"),
+                config=CampaignConfig(workers=workers),
+                runner=runner,
+            ).run()
+            assert set(result.assessments) == {"good-1", "good-2"}
+            assert result.state_counts() == {"done": 2, "failed": 1}
+            (entry,) = result.failed()
+            assert entry.job_id == "bad"
+            assert entry.error == "RuntimeError: node crashed"
+            assert calls.count("bad") == 1  # run once, never retried
+            assert result.metrics["jobs_failed"] == 1
+            assert "retries" not in result.metrics
+            assert (
+                "FAILED bad: RuntimeError: node crashed"
+                in result.summary_text()
+            )
 
     def test_shared_cache_skips_recomputation(self, runner):
         cache = ResultCache()
@@ -266,6 +273,75 @@ class TestStandardFleetResume:
                 cache=k, run=12 - k
             )
             assert campaign_json(resumed) == expected
+
+
+class TestFailNodeCampaign:
+    """A crashing node runs once, the same way at any worker count."""
+
+    #: Counters that depend neither on timing nor on the process's
+    #: path-cache history.
+    STABLE_METRICS = (
+        "jobs_done",
+        "jobs_failed",
+        "jobs_deferred",
+        "cache_hits",
+        "cache_misses",
+    )
+
+    def _campaign(self, world, workers):
+        calls = []
+
+        def runner(job):
+            calls.append(job.job_id)
+            return execute_job(job)
+
+        jobs = fleet_jobs(
+            world=WorldSpec.from_world(world), fail_node="rooftop-1"
+        )
+        result = FleetCampaign(
+            jobs,
+            config=CampaignConfig(workers=workers),
+            world=world,
+            runner=runner,
+        ).run()
+        return result, calls
+
+    def test_crashed_job_runs_once_and_ledgers_match(self, world):
+        results = {}
+        for workers in (1, 4):
+            result, calls = self._campaign(world, workers)
+            assert calls.count("rooftop-1") == 1
+            assert sorted(calls) == sorted(result.ledger)
+            (entry,) = result.failed()
+            assert entry.job_id == "rooftop-1"
+            assert entry.error == "InjectedFault: injected node fault"
+            assert result.metrics["jobs_failed"] == 1
+            assert result.metrics["jobs_done"] == 11
+            results[workers] = result
+
+        serial, pooled = results[1], results[4]
+
+        def ledger(result):
+            return [
+                dataclasses.replace(entry, duration_s=0.0)
+                for entry in result.ledger.values()
+            ]
+
+        def network_json(result):
+            network = result.network()
+            network.metrics = {
+                key: network.metrics[key] for key in self.STABLE_METRICS
+            }
+            return network_to_json(network, indent=2)
+
+        assert ledger(pooled) == ledger(serial)
+        assert list(pooled.assessments) == list(serial.assessments)
+        assert network_to_json(
+            NetworkAssessments(pooled.assessments), indent=2
+        ) == network_to_json(
+            NetworkAssessments(serial.assessments), indent=2
+        )
+        assert network_json(pooled) == network_json(serial)
 
 
 class TestPathCacheSwitch:

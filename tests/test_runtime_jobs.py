@@ -103,16 +103,3 @@ class TestContentKey:
             pipeline_version=PIPELINE_VERSION + ".dev"
         ).content_key()
         assert bumped != base
-
-    def test_execution_policy_excluded(self):
-        # Retries/timeouts change how a job runs, not what it
-        # computes — the cache must not fragment on them.
-        assert (
-            self._job(max_attempts=9, timeout_s=1.0)
-            .content_key()
-            == self._job().content_key()
-        )
-
-    def test_validates_max_attempts(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            self._job(max_attempts=0)

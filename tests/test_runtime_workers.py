@@ -1,7 +1,7 @@
-"""Tests for repro.runtime.workers — retries, backoff, pools.
+"""Tests for repro.runtime.workers — each job runs exactly once.
 
-Retry scheduling is exercised with a fake clock and an injected
-runner, so no test here sleeps or runs a real calibration.
+Jobs run through an injected runner, so no test here runs a real
+calibration.
 """
 
 import threading
@@ -10,150 +10,80 @@ import time
 import pytest
 
 from repro.runtime.jobs import CalibrationJob, NodeSpec
-from repro.core.metrics import MetricsRegistry
-from repro.runtime.queue import JobQueue, JobState
-from repro.runtime.workers import (
-    RetryPolicy,
-    run_queue,
-)
+from repro.runtime.workers import run_jobs
 
 
-class FakeClock:
-    """Manual monotonic clock: sleep() just advances time."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-        self.sleeps = []
-
-    def now(self) -> float:
-        return self.t
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.t += seconds
+def _job(node_id: str):
+    return CalibrationJob(node=NodeSpec(node_id, "rooftop"), seed=1)
 
 
-def _job(node_id: str, max_attempts: int = 3, timeout_s=None):
-    return CalibrationJob(
-        node=NodeSpec(node_id, "rooftop"),
-        seed=1,
-        max_attempts=max_attempts,
-        timeout_s=timeout_s,
-    )
+def _counting_runner(failing=()):
+    """Returns ``job_id``; raises for the ids in ``failing``."""
+    calls = []
+    lock = threading.Lock()
+
+    def run(job):
+        with lock:
+            calls.append(job.job_id)
+        if job.job_id in failing:
+            raise RuntimeError("node crashed")
+        return job.job_id
+
+    return run, calls
 
 
-class TestRetryPolicy:
-    def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(
-            base_delay_s=1.0, factor=2.0, max_delay_s=5.0, jitter=0.0
-        )
-        delays = [policy.delay_s("k", n) for n in (1, 2, 3, 4)]
-        assert delays == [1.0, 2.0, 4.0, 5.0]
+class TestRunOnce:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_crashing_job_runs_once(self, workers):
+        runner, calls = _counting_runner(failing={"bad"})
+        outcomes = {
+            o.job_id: o
+            for o in run_jobs([_job("bad")], workers, runner)
+        }
+        assert calls == ["bad"]
+        assert outcomes["bad"].state == "failed"
+        assert outcomes["bad"].error == "RuntimeError: node crashed"
+        assert outcomes["bad"].assessment is None
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            base_delay_s=1.0, factor=1.0, max_delay_s=1.0, jitter=0.2
-        )
-        a = policy.delay_s("key", 1)
-        assert a == policy.delay_s("key", 1)  # reproducible
-        assert 0.8 <= a <= 1.2
-        assert a != policy.delay_s("other-key", 1)  # de-synchronized
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_bad_job_does_not_sink_the_rest(self, workers):
+        runner, calls = _counting_runner(failing={"bad"})
+        jobs = [_job(n) for n in ("good-1", "bad", "good-2")]
+        outcomes = {o.job_id: o for o in run_jobs(jobs, workers, runner)}
+        assert sorted(calls) == ["bad", "good-1", "good-2"]
+        assert outcomes["bad"].state == "failed"
+        assert outcomes["good-1"].state == "done"
+        assert outcomes["good-1"].assessment == "good-1"
+        assert outcomes["good-2"].error is None
 
-    def test_rejects_bad_attempt(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().delay_s("k", 0)
+    def test_outcome_yielded_before_the_next_job_runs(self):
+        # The campaign caches each result as its outcome arrives, so a
+        # serial run must hand over job 1 before it starts job 2.
+        runner, calls = _counting_runner()
+        outcomes = run_jobs([_job("a"), _job("b")], 1, runner)
+        assert next(outcomes).job_id == "a"
+        assert calls == ["a"]
+        assert [o.job_id for o in outcomes] == ["b"]
+        assert calls == ["a", "b"]
 
+    def test_serial_runs_inline_in_calling_thread(self):
+        threads = []
 
-class TestSerialRetries:
-    def _flaky_runner(self, failures_by_id):
-        """Fails the first N calls per job id, then succeeds."""
-        calls = {}
+        def runner(job):
+            threads.append(threading.get_ident())
+            return job.job_id
 
-        def run(job):
-            n = calls.get(job.job_id, 0)
-            calls[job.job_id] = n + 1
-            if n < failures_by_id.get(job.job_id, 0):
-                raise RuntimeError(f"flake #{n + 1}")
-            return f"assessment-{job.job_id}"
+        list(run_jobs([_job("a"), _job("b")], 1, runner))
+        assert threads == [threading.get_ident()] * 2
 
-        return run, calls
-
-    def test_success_after_retries(self):
-        queue = JobQueue()
-        queue.put(_job("a", max_attempts=3))
-        clock = FakeClock()
-        metrics = MetricsRegistry()
-        runner, calls = self._flaky_runner({"a": 2})
-        policy = RetryPolicy(
-            base_delay_s=1.0, factor=2.0, max_delay_s=60.0, jitter=0.0
-        )
-        outcomes = run_queue(
-            queue,
-            runner=runner,
-            retry_policy=policy,
-            clock=clock,
-            metrics=metrics,
-        )
-        assert outcomes["a"].state is JobState.DONE
-        assert outcomes["a"].attempts == 3
-        assert calls["a"] == 3
-        assert metrics.count("retries") == 2
-        # Backoff schedule: 1 s after attempt 1, 2 s after attempt 2
-        # (jitter zeroed), observed through the fake clock's sleeps.
-        assert clock.t == pytest.approx(3.0, abs=1e-3)
-
-    def test_failure_after_max_attempts(self):
-        queue = JobQueue()
-        queue.put(_job("a", max_attempts=2))
-        runner, calls = self._flaky_runner({"a": 99})
-        metrics = MetricsRegistry()
-        outcomes = run_queue(
-            queue,
-            runner=runner,
-            retry_policy=RetryPolicy(base_delay_s=0.0, jitter=0.0),
-            clock=FakeClock(),
-            metrics=metrics,
-        )
-        assert outcomes["a"].state is JobState.FAILED
-        assert outcomes["a"].attempts == 2
-        assert len(outcomes["a"].errors) == 2
-        assert calls["a"] == 2
-        assert metrics.count("jobs_failed") == 1
-
-    def test_one_bad_job_does_not_sink_the_rest(self):
-        queue = JobQueue()
-        for name in ("good-1", "bad", "good-2"):
-            queue.put(_job(name, max_attempts=2))
-        runner, _ = self._flaky_runner({"bad": 99})
-        outcomes = run_queue(
-            queue,
-            runner=runner,
-            retry_policy=RetryPolicy(base_delay_s=0.0, jitter=0.0),
-            clock=FakeClock(),
-        )
-        assert outcomes["bad"].state is JobState.FAILED
-        assert outcomes["good-1"].state is JobState.DONE
-        assert outcomes["good-2"].state is JobState.DONE
-
-    def test_on_outcome_fires_per_terminal_job(self):
-        queue = JobQueue()
-        queue.put(_job("a"))
-        queue.put(_job("b"))
-        seen = []
-        run_queue(
-            queue,
-            runner=lambda job: job.job_id,
-            clock=FakeClock(),
-            on_outcome=lambda o: seen.append(o.job_id),
-        )
-        assert sorted(seen) == ["a", "b"]
+    def test_no_jobs_yields_nothing(self):
+        runner, calls = _counting_runner()
+        assert list(run_jobs([], 4, runner)) == []
+        assert calls == []
 
 
 class TestPooledExecution:
     def test_thread_pool_drains_queue(self):
-        queue = JobQueue()
-        for i in range(8):
-            queue.put(_job(f"n{i}"))
         active = []
         peak = []
         lock = threading.Lock()
@@ -167,57 +97,27 @@ class TestPooledExecution:
                 active.remove(job.job_id)
             return job.job_id
 
-        outcomes = run_queue(queue, workers=4, runner=runner)
-        assert len(outcomes) == 8
-        assert all(
-            o.state is JobState.DONE for o in outcomes.values()
+        jobs = [_job(f"n{i}") for i in range(8)]
+        outcomes = list(run_jobs(jobs, 4, runner))
+        assert sorted(o.job_id for o in outcomes) == sorted(
+            j.job_id for j in jobs
         )
+        assert all(o.state == "done" for o in outcomes)
         assert max(peak) > 1  # genuinely concurrent
+        assert max(peak) <= 4
 
-    def test_pool_retries_failures(self):
-        queue = JobQueue()
-        queue.put(_job("flaky", max_attempts=3))
-        queue.put(_job("ok"))
-        attempts = {"flaky": 0}
-        lock = threading.Lock()
-
-        def runner(job):
-            if job.job_id == "flaky":
-                with lock:
-                    attempts["flaky"] += 1
-                    if attempts["flaky"] < 3:
-                        raise RuntimeError("flake")
-            return job.job_id
-
-        metrics = MetricsRegistry()
-        outcomes = run_queue(
-            queue,
-            workers=2,
-            runner=runner,
-            retry_policy=RetryPolicy(
-                base_delay_s=0.01, jitter=0.0
-            ),
-            metrics=metrics,
-        )
-        assert outcomes["flaky"].state is JobState.DONE
-        assert outcomes["flaky"].attempts == 3
-        assert metrics.count("retries") == 2
-
-    def test_timeout_fails_job_without_wedging_pool(self):
-        queue = JobQueue()
-        queue.put(_job("slow", max_attempts=1, timeout_s=0.05))
-        queue.put(_job("fast"))
+    def test_outcomes_arrive_in_completion_order(self):
+        # "slow" is submitted first but finishes last; its outcome must
+        # not hold back the others.
+        release = threading.Event()
 
         def runner(job):
             if job.job_id == "slow":
-                time.sleep(0.5)
+                assert release.wait(5.0)
             return job.job_id
 
-        metrics = MetricsRegistry()
-        outcomes = run_queue(
-            queue, workers=2, runner=runner, metrics=metrics
-        )
-        assert outcomes["slow"].state is JobState.FAILED
-        assert "timeout" in outcomes["slow"].errors[-1]
-        assert outcomes["fast"].state is JobState.DONE
-        assert metrics.count("timeouts") == 1
+        outcomes = run_jobs([_job("slow"), _job("a"), _job("b")], 2, runner)
+        first_two = {next(outcomes).job_id, next(outcomes).job_id}
+        release.set()
+        assert first_two == {"a", "b"}
+        assert [o.job_id for o in outcomes] == ["slow"]

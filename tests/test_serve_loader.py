@@ -79,7 +79,7 @@ class TestCampaignLoader:
             key="k-bad",
             state="failed",
             source="run",
-            errors=["first try", "antenna unplugged"],
+            error="antenna unplugged",
         )
         ledger["sn-worse"] = JobLedgerEntry(
             job_id="sn-worse",
@@ -88,17 +88,17 @@ class TestCampaignLoader:
             source="run",
         )
         result = CampaignResult(
-            assessments=assessments, ledger=ledger, metrics={"retries": 2}
+            assessments=assessments, ledger=ledger, metrics={"jobs_failed": 2}
         )
         store = store_from_network(result.network())
         snapshot = store.current()
         assert snapshot.n_nodes == len(assessments)
         assert set(snapshot.failures) == {"sn-bad", "sn-worse"}
-        # Last error message wins; empty ledgers get a stub.
+        # The job's error message carries over; no error gets a stub.
         assert snapshot.failures["sn-bad"].error == "antenna unplugged"
         assert snapshot.failures["sn-worse"].error == "failed"
         assert snapshot.fleet_summary()["failures"] == 2
-        assert snapshot.metrics == {"retries": 2}
+        assert snapshot.metrics == {"jobs_failed": 2}
 
 
 class TestDriftStatuses:

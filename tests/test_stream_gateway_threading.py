@@ -161,10 +161,11 @@ class TestEvictionRaces:
             config=GatewayConfig(idle_timeout_s=10.0)
         )
         stop = threading.Event()
+        returned = []
 
         def churn():
             while not stop.is_set():
-                gateway.evict_idle(now_s=1e9)
+                returned.extend(gateway.evict_idle(now_s=1e9))
 
         evictor = threading.Thread(target=churn)
         evictor.start()
@@ -182,4 +183,4 @@ class TestEvictionRaces:
         # Every record was consumed by *some* session generation,
         # and every eviction was counted exactly once.
         assert consumed == 300
-        assert len(gateway.evicted_sessions) == evicted
+        assert len(returned) == evicted

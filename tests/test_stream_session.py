@@ -291,7 +291,6 @@ class TestStreamGateway:
         gateway.drain()
         assert gateway.evict_idle(now_s=120.0) == ["slow"]
         assert "slow" not in gateway.sessions
-        assert gateway.evicted_sessions == ["slow"]
         assert (
             gateway.metrics.summary()["stream_sessions_evicted"] == 1
         )

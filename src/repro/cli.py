@@ -42,7 +42,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.network import CalibrationService
-from repro.core.serialize import report_to_json
+from repro.core.serialize import SHAPE_ERRORS, report_to_json
 from repro.experiments import (
     crosscheck_exp,
     figure1,
@@ -539,6 +539,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _not_a_record(path: str, kind: str, exc: Exception) -> int:
+    """Report a malformed record file on one line; the exit status.
+
+    ``exc`` is one of ``SHAPE_ERRORS``, which covers undecodable JSON
+    (``json.JSONDecodeError`` is a ``ValueError``).
+    """
+    print(
+        f"{path}: not a {kind} record: {type(exc).__name__}: {exc}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     import json
 
@@ -569,11 +582,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     node_id = f"{args.location}-stream"
     window_s = args.window
     if args.source == "replay" and args.scan:
-        with open(args.scan) as f:
-            data = json.load(f)
-        # Accept either a bare scan dict or a full calibration report
-        # (``repro calibrate --json``), which nests the scan.
-        scan = scan_from_dict(data.get("scan", data))
+        try:
+            with open(args.scan) as f:
+                data = json.load(f)
+            # Accept either a bare scan dict or a full calibration
+            # report (``repro calibrate --json``), which nests the scan.
+            scan = scan_from_dict(data.get("scan", data))
+        except SHAPE_ERRORS as exc:
+            return _not_a_record(args.scan, "scan", exc)
         node_id = scan.node_id
         # Window boundaries must match the recording.
         window_s = scan.duration_s
@@ -698,7 +714,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     if args.source == "file":
-        store = store_from_json(args.file)
+        try:
+            store = store_from_json(args.file)
+        except SHAPE_ERRORS as exc:
+            return _not_a_record(args.file, "network", exc)
     elif args.source == "fleet":
         result = fleet.run_fleet(world=build_world(), seed=args.seed)
         store = store_from_network(result.campaign.network())

@@ -5,6 +5,15 @@ cloud; these converters produce plain dict/JSON structures (and read
 them back) so results can be stored, diffed, and audited. Round-trip
 fidelity is tested for every record type.
 
+Each persisted record type is declared once, as a :class:`Record`: a
+table of :class:`Field` rows, one per JSON key, each naming where the
+value lives on the object, how it is written and read (its codec) and,
+for keys older files lack, the value to read in their place. At import
+every table is compiled, the way :mod:`dataclasses` compiles
+``__init__``, into plain functions: ``<name>_to_dict``,
+``<name>_from_dict`` and, for the records on the campaign path, a
+method of the campaign writer. A new persisted field is one table row.
+
 :func:`network_to_json` and :func:`assessment_to_json` return the text
 of ``json.dumps`` of the ``*_to_dict`` records. ``repro fleet --json``
 writes campaign files with ``indent=2``, a persisted format; the
@@ -12,16 +21,16 @@ default layout is what the repository benchmark encodes per campaign.
 Readers parse the JSON and do not depend on the layout; the bytes are
 pinned so that files written before and after a change stay diffable.
 For those two layouts the functions write the text directly (see the
-writer at the end of this module);
-``tests/test_core_serialize_writer.py`` compares them with
-``json.dumps`` and pins two standard campaigns by sha256 in each.
+campaign writer below); ``tests/test_core_serialize_writer.py``
+compares them with ``json.dumps`` and pins two standard campaigns by
+sha256 in each.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.adsb.icao import IcaoAddress
 from repro.core.abs_power import AbsolutePowerCalibration
@@ -42,448 +51,241 @@ from repro.interference.collisions import CollisionStats
 
 #: What the ``*_from_dict`` readers raise on valid JSON of the wrong
 #: shape: a list or number where an object belongs, a missing key, a
-#: value of the wrong type. Readers of stored state catch these.
-SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+#: value of the wrong type, a number too large for a float. Readers of
+#: stored state catch these.
+SHAPE_ERRORS = (
+    AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError
+)
 
 
-def observation_to_dict(obs: AircraftObservation) -> Dict[str, Any]:
-    """Serialize one aircraft observation."""
-    return {
-        "icao": str(obs.icao),
-        "callsign": obs.callsign,
-        "bearing_deg": obs.bearing_deg,
-        "ground_range_m": obs.ground_range_m,
-        "elevation_deg": obs.elevation_deg,
-        "position": {
-            "lat_deg": obs.position.lat_deg,
-            "lon_deg": obs.position.lon_deg,
-            "alt_m": obs.position.alt_m,
-        },
-        "received": obs.received,
-        "n_messages": obs.n_messages,
-        "mean_rssi_dbfs": obs.mean_rssi_dbfs,
-    }
+# -- field tables ------------------------------------------------------------
 
 
-def observation_from_dict(data: Dict[str, Any]) -> AircraftObservation:
-    """Inverse of :func:`observation_to_dict`."""
-    pos = data["position"]
-    return AircraftObservation(
-        icao=IcaoAddress.from_hex(data["icao"]),
-        callsign=data["callsign"],
-        bearing_deg=data["bearing_deg"],
-        ground_range_m=data["ground_range_m"],
-        elevation_deg=data["elevation_deg"],
-        position=GeoPoint(
-            pos["lat_deg"], pos["lon_deg"], pos["alt_m"]
-        ),
-        received=data["received"],
-        n_messages=data["n_messages"],
-        mean_rssi_dbfs=data["mean_rssi_dbfs"],
-    )
+class Leaf(NamedTuple):
+    """Codec of a value that is not a record.
 
-
-def scan_to_dict(scan: DirectionalScan) -> Dict[str, Any]:
-    """Serialize a directional scan."""
-    return {
-        "node_id": scan.node_id,
-        "duration_s": scan.duration_s,
-        "radius_m": scan.radius_m,
-        "observations": [
-            observation_to_dict(o) for o in scan.observations
-        ],
-        "decoded_message_count": scan.decoded_message_count,
-        "ghost_icaos": [str(g) for g in scan.ghost_icaos],
-        "collision_stats": (
-            scan.collision_stats.to_dict()
-            if scan.collision_stats is not None
-            else None
-        ),
-    }
-
-
-def scan_from_dict(data: Dict[str, Any]) -> DirectionalScan:
-    """Inverse of :func:`scan_to_dict`.
-
-    ``collision_stats`` is optional so scans written before the
-    interference layer still parse.
+    Each member is a source template applied to the source text of the
+    value: ``write`` gives the JSON-ready value, ``load`` the value read
+    back, and ``text`` its JSON text in the campaign writer, which has
+    ``number`` (the writer's float memo) in scope. ``text=None`` leaves
+    the value to ``json.dumps`` of ``write``.
     """
-    stats = data.get("collision_stats")
-    return DirectionalScan(
-        node_id=data["node_id"],
-        duration_s=data["duration_s"],
-        radius_m=data["radius_m"],
-        observations=[
-            observation_from_dict(o) for o in data["observations"]
-        ],
-        decoded_message_count=data["decoded_message_count"],
-        ghost_icaos=[
-            IcaoAddress.from_hex(g) for g in data["ghost_icaos"]
-        ],
-        collision_stats=(
-            CollisionStats.from_dict(stats)
-            if stats is not None
-            else None
-        ),
-    )
+
+    write: str = "{}"
+    load: str = "{}"
+    text: Optional[str] = "_scalar_text({})"
+
+    def to(self, value: str) -> str:
+        return self.write.format(value)
+
+    def read(self, value: str) -> str:
+        return self.load.format(value)
 
 
-def fov_to_dict(fov: FieldOfViewEstimate) -> Dict[str, Any]:
-    """Serialize a field-of-view estimate."""
-    return {
-        "bin_deg": fov.bin_deg,
-        "open_flags": list(fov.open_flags),
-        "max_range_km": list(fov.max_range_km),
-    }
+#: A string, bool or ``None``, kept as it is.
+VALUE = Leaf()
+#: A float field (``None``, ints and ``np.float64`` pass through too).
+NUMBER = Leaf(text="number({})")
+#: A count: read back only from an int or an integral float.
+COUNT = Leaf(load="_count({})")
+ICAO = Leaf("str({})", "IcaoAddress.from_hex({})", "_str_text(str({}))")
+ICAOS = Leaf(
+    "[str(g) for g in {}]", "[IcaoAddress.from_hex(g) for g in {}]", None
+)
+FLAGS = Leaf("list({})", "[bool(f) for f in {}]", None)
+FLOATS = Leaf("list({})", "[float(r) for r in {}]", None)
+MAPPING = Leaf("dict({})", "dict({})", None)
 
 
-def fov_from_dict(data: Dict[str, Any]) -> FieldOfViewEstimate:
-    """Inverse of :func:`fov_to_dict`."""
-    return FieldOfViewEstimate(
-        bin_deg=data["bin_deg"],
-        open_flags=[bool(f) for f in data["open_flags"]],
-        max_range_km=[float(r) for r in data["max_range_km"]],
-    )
+class One(NamedTuple):
+    """Codec of a nested record; ``optional`` also admits ``None``."""
+
+    record: "Record"
+    optional: bool = False
+
+    def to(self, value: str) -> str:
+        call = f"{self.record.name}_to_dict({value})"
+        if self.optional:
+            return f"({call} if {value} is not None else None)"
+        return call
+
+    def read(self, value: str) -> str:
+        call = f"{self.record.name}_from_dict({value})"
+        if self.optional:
+            return f"({call} if {value} is not None else None)"
+        return call
 
 
-def measurement_to_dict(m: BandMeasurement) -> Dict[str, Any]:
-    """Serialize one band measurement."""
-    return {
-        "source": m.source,
-        "label": m.label,
-        "freq_hz": m.freq_hz,
-        "measured": m.measured,
-        "expected": m.expected,
-        "excess_attenuation_db": m.excess_attenuation_db,
-        "decoded": m.decoded,
-        "interference_dbm": m.interference_dbm,
-    }
+class Many(NamedTuple):
+    """Codec of a list of records."""
+
+    record: "Record"
+
+    def to(self, value: str) -> str:
+        return f"[{self.record.name}_to_dict(x) for x in {value}]"
+
+    def read(self, value: str) -> str:
+        return f"[{self.record.name}_from_dict(x) for x in {value}]"
 
 
-def measurement_from_dict(data: Dict[str, Any]) -> BandMeasurement:
-    """Inverse of :func:`measurement_to_dict`.
+class Keyed(NamedTuple):
+    """Codec of a mapping of id -> record, written in id order."""
 
-    ``interference_dbm`` is optional so profiles written before the
-    interference layer still parse.
+    record: "Record"
+
+    def to(self, value: str) -> str:
+        item = f"{self.record.name}_to_dict(x)"
+        return "{k: " + item + f" for k, x in sorted({value}.items())}}"
+
+    def read(self, value: str) -> str:
+        item = f"{self.record.name}_from_dict(x)"
+        return "{k: " + item + f" for k, x in {value}.items()}}"
+
+
+_REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """One JSON key of a record.
+
+    ``get`` is a source template applied to the record object (the
+    attribute of the same name by default). ``default`` is read when
+    the key is missing, for files written before the field existed;
+    without one the key is required. ``write_only`` fields are derived
+    and never read back. ``omit_empty`` leaves the key out when the
+    value is empty; such fields come last.
     """
-    return BandMeasurement(
-        interference_dbm=data.get("interference_dbm"),
-        **{
-            k: v
-            for k, v in data.items()
-            if k != "interference_dbm"
-        },
-    )
+
+    key: str
+    codec: Any
+    get: str = ""
+    default: Any = _REQUIRED
+    write_only: bool = False
+    omit_empty: bool = False
+
+    def value(self, obj: str) -> str:
+        return (self.get or "{}." + self.key).format(obj)
 
 
-def profile_to_dict(profile: FrequencyProfile) -> Dict[str, Any]:
-    """Serialize a frequency profile."""
-    return {
-        "node_id": profile.node_id,
-        "measurements": [
-            measurement_to_dict(m) for m in profile.measurements
-        ],
-    }
+class Record:
+    """A persisted record type: its constructor and its field table.
 
-
-def profile_from_dict(data: Dict[str, Any]) -> FrequencyProfile:
-    """Inverse of :func:`profile_to_dict`."""
-    return FrequencyProfile(
-        node_id=data["node_id"],
-        measurements=[
-            measurement_from_dict(m) for m in data["measurements"]
-        ],
-    )
-
-
-def report_to_dict(report: CalibrationReport) -> Dict[str, Any]:
-    """Serialize a full calibration report."""
-    return {
-        "node_id": report.node_id,
-        "scan": scan_to_dict(report.scan),
-        "fov": fov_to_dict(report.fov),
-        "profile": profile_to_dict(report.profile),
-        "features": features_to_dict(report.features),
-        "classification": classification_to_dict(report.classification),
-        "band_grades": [band_grade_to_dict(g) for g in report.band_grades],
-        "scores": scores_to_dict(report),
-    }
-
-
-def features_to_dict(features: InstallationFeatures) -> Dict[str, Any]:
-    """Serialize the classifier features of a report."""
-    return {
-        "fov_open_fraction": features.fov_open_fraction,
-        "max_received_range_km": features.max_received_range_km,
-        "reach_km": features.reach_km,
-        "high_band_decode_fraction": features.high_band_decode_fraction,
-        "high_band_excess_db": features.high_band_excess_db,
-        "low_band_excess_db": features.low_band_excess_db,
-    }
-
-
-def classification_to_dict(
-    classification: Classification,
-) -> Dict[str, Any]:
-    """Serialize an installation verdict."""
-    return {
-        "installation": classification.installation,
-        "outdoor": classification.outdoor,
-        "outdoor_probability": classification.outdoor_probability,
-    }
-
-
-def band_grade_to_dict(grade: BandGrade) -> Dict[str, Any]:
-    """Serialize one band grade."""
-    return {
-        "label": grade.label,
-        "freq_hz": grade.freq_hz,
-        "grade": grade.grade,
-        "excess_attenuation_db": grade.excess_attenuation_db,
-    }
-
-
-def scores_to_dict(report: CalibrationReport) -> Dict[str, Any]:
-    """A report's quality scores (derived, so only ever written)."""
-    directional, frequency, overall = report.scores()
-    return {
-        "directional": directional,
-        "frequency": frequency,
-        "overall": overall,
-    }
-
-
-def report_from_dict(data: Dict[str, Any]) -> CalibrationReport:
-    """Inverse of :func:`report_to_dict` (scores are recomputed)."""
-    return CalibrationReport(
-        node_id=data["node_id"],
-        scan=scan_from_dict(data["scan"]),
-        fov=fov_from_dict(data["fov"]),
-        profile=profile_from_dict(data["profile"]),
-        features=InstallationFeatures(**data["features"]),
-        classification=Classification(**data["classification"]),
-        band_grades=[BandGrade(**g) for g in data["band_grades"]],
-    )
-
-
-def report_to_json(report: CalibrationReport, **json_kwargs) -> str:
-    """Serialize a report straight to a JSON string."""
-    return json.dumps(report_to_dict(report), **json_kwargs)
-
-
-def report_from_json(text: str) -> CalibrationReport:
-    """Parse a report from its JSON string."""
-    return report_from_dict(json.loads(text))
-
-
-def trust_check_to_dict(check: TrustCheck) -> Dict[str, Any]:
-    """Serialize one trust check."""
-    return {
-        "name": check.name,
-        "passed": check.passed,
-        "score": check.score,
-        "detail": check.detail,
-    }
-
-
-def trust_check_from_dict(data: Dict[str, Any]) -> TrustCheck:
-    """Inverse of :func:`trust_check_to_dict`."""
-    return TrustCheck(**data)
-
-
-def trust_to_dict(trust: TrustAssessment) -> Dict[str, Any]:
-    """Serialize a trust assessment (score is recomputed on read)."""
-    return {
-        "node_id": trust.node_id,
-        "checks": [trust_check_to_dict(c) for c in trust.checks],
-    }
-
-
-def trust_from_dict(data: Dict[str, Any]) -> TrustAssessment:
-    """Inverse of :func:`trust_to_dict`."""
-    return TrustAssessment(
-        node_id=data["node_id"],
-        checks=[trust_check_from_dict(c) for c in data["checks"]],
-    )
-
-
-def violation_to_dict(violation: ClaimViolation) -> Dict[str, Any]:
-    """Serialize one claim violation."""
-    return {"claim": violation.claim, "evidence": violation.evidence}
-
-
-def violation_from_dict(data: Dict[str, Any]) -> ClaimViolation:
-    """Inverse of :func:`violation_to_dict`."""
-    return ClaimViolation(**data)
-
-
-def abs_power_to_dict(cal: AbsolutePowerCalibration) -> Dict[str, Any]:
-    """Serialize an absolute-power calibration."""
-    return {
-        "full_scale_dbm_estimate": cal.full_scale_dbm_estimate,
-        "spread_db": cal.spread_db,
-        "anchor_label": cal.anchor_label,
-        "anchor_bearing_deg": cal.anchor_bearing_deg,
-        "n_signals": cal.n_signals,
-        "reliable": cal.reliable,
-    }
-
-
-def abs_power_from_dict(data: Dict[str, Any]) -> AbsolutePowerCalibration:
-    """Inverse of :func:`abs_power_to_dict`."""
-    return AbsolutePowerCalibration(**data)
-
-
-def assessment_to_dict(assessment: NodeAssessment) -> Dict[str, Any]:
-    """Serialize a full node assessment.
-
-    This is the record the fleet runtime's result cache persists, and
-    a stopped campaign resumes from: everything the service concluded about one
-    node, round-trippable through JSON.
+    ``build`` is called with one keyword argument per read field; it is
+    ``None`` for records that are only ever written. ``direct`` records
+    are formatted by the campaign writer itself, which hands every
+    other record to ``json.dumps``. The compiled converters
+    (:attr:`converters`) reach each other's functions by their
+    module-level names, which the end of this module binds, so a
+    wrapper installed on one (a tracer, a mock) sees every call.
     """
-    return {
-        "node_id": assessment.node_id,
-        "report": report_to_dict(assessment.report),
-        "trust": trust_to_dict(assessment.trust),
-        "claim_violations": [
-            violation_to_dict(v) for v in assessment.claim_violations
-        ],
-        "abs_power": (
-            abs_power_to_dict(assessment.abs_power)
-            if assessment.abs_power is not None
-            else None
-        ),
-    }
+
+    def __init__(
+        self, name: str, build: Any, *fields: Field, direct: bool = False
+    ) -> None:
+        assert all(f.key.isidentifier() for f in fields), name
+        self.name, self.build, self.fields = name, build, fields
+        self.direct = direct
+        self.converters: Tuple[Callable[..., Any], ...] = (
+            _compile(f"{name}_to_dict", _to_dict_source(self)),
+        )
+        if build is not None:
+            self.converters += (
+                _compile(f"{name}_from_dict", _from_dict_source(self)),
+            )
+        if direct:
+            setattr(
+                _DocumentWriter, name, _compile(name, _writer_source(self))
+            )
+
+    @property
+    def flat(self) -> bool:
+        """Whether the writer can format it inside one expression."""
+        return all(
+            not f.omit_empty
+            and (
+                (isinstance(f.codec, Leaf) and f.codec.text is not None)
+                or (
+                    isinstance(f.codec, One)
+                    and f.codec.record.direct
+                    and f.codec.record.flat
+                )
+            )
+            for f in self.fields
+        )
 
 
-def assessment_from_dict(data: Dict[str, Any]) -> NodeAssessment:
-    """Inverse of :func:`assessment_to_dict`."""
-    return NodeAssessment(
-        node_id=data["node_id"],
-        report=report_from_dict(data["report"]),
-        trust=trust_from_dict(data["trust"]),
-        claim_violations=[
-            violation_from_dict(v) for v in data["claim_violations"]
-        ],
-        abs_power=(
-            abs_power_from_dict(data["abs_power"])
-            if data["abs_power"] is not None
-            else None
-        ),
+def _compile(name: str, source: str) -> Callable[..., Any]:
+    namespace: Dict[str, Any] = {}
+    exec(source, globals(), namespace)
+    return namespace[name]
+
+
+def _to_dict_source(record: Record) -> str:
+    kept = [f for f in record.fields if not f.omit_empty]
+    omitted = record.fields[len(kept):]
+    assert all(f.omit_empty for f in omitted), "omitted keys come last"
+    members = ", ".join(
+        f"{_str_text(f.key)}: {f.codec.to(f.value('obj'))}" for f in kept
+    )
+    lines = [f"def {record.name}_to_dict(obj):", f"    out = {{{members}}}"]
+    lines += [
+        f"    if {f.value('obj')}: out[{_str_text(f.key)}] = "
+        + f.codec.to(f.value("obj"))
+        for f in omitted
+    ]
+    return "\n".join(lines + ["    return out"])
+
+
+def _from_dict_source(record: Record) -> str:
+    assert globals()[record.build.__name__] is record.build, record.name
+    args = [
+        f"{f.key}="
+        + f.codec.read(
+            f"data[{_str_text(f.key)}]"
+            if f.default is _REQUIRED
+            else f"data.get({_str_text(f.key)}, {f.default!r})"
+        )
+        for f in record.fields
+        if not f.write_only
+    ]
+    return (
+        f"def {record.name}_from_dict(data):\n"
+        f"    return {record.build.__name__}({', '.join(args)})"
     )
 
 
-def assessment_to_json(
-    assessment: NodeAssessment, **json_kwargs
-) -> str:
-    """Serialize a node assessment straight to a JSON string.
-
-    Always the text of
-    ``json.dumps(assessment_to_dict(assessment), **json_kwargs)``. With
-    no keyword arguments or ``indent`` alone, :class:`_DocumentWriter`
-    writes it without building the dict.
-    """
-    writer = _writer(json_kwargs)
-    if writer is None:
-        return json.dumps(assessment_to_dict(assessment), **json_kwargs)
-    return writer.assessment(assessment)
+def _count(value: Any) -> int:
+    """A stored count: an int, or a float with an integral value."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"not a count: {value!r}")
 
 
-def assessment_from_json(text: str) -> NodeAssessment:
-    """Parse a node assessment from its JSON string."""
-    return assessment_from_dict(json.loads(text))
-
-
-def failure_to_dict(failure: AssessmentFailure) -> Dict[str, Any]:
-    """Serialize one assessment failure."""
-    return {
-        "node_id": failure.node_id,
-        "error": failure.error,
-        "exception_type": failure.exception_type,
-    }
-
-
-def failure_from_dict(data: Dict[str, Any]) -> AssessmentFailure:
-    """Inverse of :func:`failure_to_dict`."""
-    return AssessmentFailure(**data)
-
-
-def network_to_dict(
-    network: NetworkAssessments,
-) -> Dict[str, Any]:
-    """Serialize a whole network evaluation, failures included.
-
-    This is the record a finished fleet campaign hands to the serve
-    store: every successful node assessment plus every node that
-    crashed instead of completing.
-    """
-    out: Dict[str, Any] = {
-        "assessments": {
-            node_id: assessment_to_dict(assessment)
-            for node_id, assessment in sorted(network.items())
-        },
-        "failures": {
-            node_id: failure_to_dict(failure)
-            for node_id, failure in sorted(network.failures.items())
-        },
-    }
-    if network.metrics:
-        # Campaign counters (path-cache effectiveness, failed jobs,
-        # job latencies) ride along so `repro serve --source file` can
-        # surface them; plain batch evaluations omit the key.
-        out["metrics"] = dict(network.metrics)
+def _network(
+    assessments: Dict[str, NodeAssessment],
+    failures: Dict[str, AssessmentFailure],
+    metrics: Dict[str, Any],
+) -> NetworkAssessments:
+    out = NetworkAssessments(assessments)
+    out.failures = failures
+    out.metrics = metrics
     return out
 
 
-def network_from_dict(data: Dict[str, Any]) -> NetworkAssessments:
-    """Inverse of :func:`network_to_dict`."""
-    out = NetworkAssessments(
-        {
-            node_id: assessment_from_dict(assessment)
-            for node_id, assessment in data["assessments"].items()
-        }
-    )
-    out.failures = {
-        node_id: failure_from_dict(failure)
-        for node_id, failure in data.get("failures", {}).items()
-    }
-    out.metrics = dict(data.get("metrics", {}))
-    return out
-
-
-def network_to_json(
-    network: NetworkAssessments, **json_kwargs: Any
-) -> str:
-    """Serialize a network evaluation straight to a JSON string.
-
-    Always the text of
-    ``json.dumps(network_to_dict(network), **json_kwargs)``. With no
-    keyword arguments or ``indent`` alone (``repro fleet --json``
-    writes ``indent=2``), :class:`_DocumentWriter` writes it without
-    building the dict.
-    """
-    writer = _writer(json_kwargs)
-    if writer is None:
-        return json.dumps(network_to_dict(network), **json_kwargs)
-    return writer.network(network)
-
-
-def network_from_json(text: str) -> NetworkAssessments:
-    """Parse a network evaluation from its JSON string."""
-    return network_from_dict(json.loads(text))
-
-
-# -- the campaign writer ---------------------------------------------------
+# -- the campaign writer -----------------------------------------------------
 #
 # Emits the bytes of ``json.dumps`` of the ``*_to_dict`` records, in the
 # default layout or an indented one, straight from the objects along the
 # network -> assessment -> report -> scan -> observation chain, and
-# through band measurements and grades; the other leaf records still go
-# through ``json.dumps`` of their ``*_to_dict``. A campaign repeats the
-# same aircraft positions once per node (§3.1 joins every node against
-# one ground-truth snapshot), co-sited nodes repeat arrival geometry and
-# every node repeats the band frequencies, so the writer formats each
-# distinct float once per document instead of once per leaf.
+# through band measurements and grades (the ``direct`` records); the
+# other records go through ``json.dumps`` of their ``*_to_dict``. A
+# campaign repeats the same aircraft positions once per node (§3.1 joins
+# every node against one ground-truth snapshot), co-sited nodes repeat
+# arrival geometry and every node repeats the band frequencies, so the
+# writer formats each distinct float once per document instead of once
+# per leaf.
 
 _str_text = json.encoder.encode_basestring_ascii
 
@@ -543,11 +345,16 @@ class _DocumentWriter:
 
     ``indent`` is ``None`` for the default layout, or the text of one
     indent level, as ``json.dumps(..., indent=...)`` uses it. Each
-    method takes the nesting depth of the record it writes, which only
-    an indented layout needs. The float memo lives as long as the
-    writer, i.e. one document; every value that is not an exact float
-    goes through :func:`_scalar_text`.
+    ``direct`` record adds a method of its name (``network``,
+    ``assessment``, ...), compiled from its table, which takes the
+    record and its nesting depth (only an indented layout needs it).
+    The float memo lives as long as the writer, i.e. one document;
+    every value that is not an exact float goes through
+    :func:`_scalar_text`.
     """
+
+    network: Callable[..., str]
+    assessment: Callable[..., str]
 
     def __init__(self, indent: Optional[str] = None) -> None:
         self._floats = _FloatTexts()
@@ -580,7 +387,7 @@ class _DocumentWriter:
         )
 
     def dumps(self, value: Any, depth: int) -> str:
-        """``json.dumps`` of a leaf record at ``depth``.
+        """``json.dumps`` of a record at ``depth``.
 
         Every newline in indented ``json.dumps`` output starts a line
         (strings escape theirs), so shifting each one indents the
@@ -592,150 +399,344 @@ class _DocumentWriter:
             "\n", "\n" + self._indent * depth
         )
 
-    def network(self, network: NetworkAssessments) -> str:
-        o, s, c = self.braces(0)
-        assessments = self.members(
-            1,
-            "{",
-            "}",
-            [
-                f"{_str_text(node_id)}: {self.assessment(assessment, 2)}"
-                for node_id, assessment in sorted(network.items())
-            ],
-        )
-        failures = self.dumps(
-            {
-                node_id: failure_to_dict(failure)
-                for node_id, failure in sorted(network.failures.items())
-            },
-            1,
-        )
-        metrics = (
-            f'{s}"metrics": {self.dumps(dict(network.metrics), 1)}'
-            if network.metrics
-            else ""
-        )
-        return (
-            f'{o}"assessments": {assessments}{s}'
-            f'"failures": {failures}{metrics}{c}'
-        )
 
-    def assessment(self, assessment: NodeAssessment, depth: int = 0) -> str:
-        o, s, c = self.braces(depth)
-        inner = depth + 1
-        violations = [
-            violation_to_dict(v) for v in assessment.claim_violations
-        ]
-        abs_power = (
-            abs_power_to_dict(assessment.abs_power)
-            if assessment.abs_power is not None
-            else None
-        )
-        trust = trust_to_dict(assessment.trust)
-        return (
-            f'{o}"node_id": {_scalar_text(assessment.node_id)}{s}'
-            f'"report": {self.report(assessment.report, inner)}{s}'
-            f'"trust": {self.dumps(trust, inner)}{s}'
-            f'"claim_violations": {self.dumps(violations, inner)}{s}'
-            f'"abs_power": {self.dumps(abs_power, inner)}{c}'
-        )
+class _WriterSource:
+    """Statements and brace depths of one writer method being compiled.
 
-    def report(self, report: CalibrationReport, depth: int) -> str:
-        number = self.number
-        o, s, c = self.braces(depth)
-        inner = depth + 1
-        po, ps, pc = self.braces(inner)
-        mo, ms, mc = self.braces(depth + 3)
-        measurements = self.members(
-            depth + 2,
-            "[",
-            "]",
-            [
-                f'{mo}"source": {_scalar_text(m.source)}{ms}'
-                f'"label": {_scalar_text(m.label)}{ms}'
-                f'"freq_hz": {number(m.freq_hz)}{ms}'
-                f'"measured": {number(m.measured)}{ms}'
-                f'"expected": {number(m.expected)}{ms}'
-                f'"excess_attenuation_db": '
-                f"{number(m.excess_attenuation_db)}{ms}"
-                f'"decoded": {_scalar_text(m.decoded)}{ms}'
-                f'"interference_dbm": {number(m.interference_dbm)}{mc}'
-                for m in report.profile.measurements
-            ],
-        )
-        go, gs, gc = self.braces(depth + 2)
-        band_grades = self.members(
-            inner,
-            "[",
-            "]",
-            [
-                f'{go}"label": {_scalar_text(g.label)}{gs}'
-                f'"freq_hz": {number(g.freq_hz)}{gs}'
-                f'"grade": {_scalar_text(g.grade)}{gs}'
-                f'"excess_attenuation_db": '
-                f"{number(g.excess_attenuation_db)}{gc}"
-                for g in report.band_grades
-            ],
-        )
-        fov = self.dumps(fov_to_dict(report.fov), inner)
-        features = self.dumps(features_to_dict(report.features), inner)
-        classification = self.dumps(
-            classification_to_dict(report.classification), inner
-        )
-        scores = self.dumps(scores_to_dict(report), inner)
-        return (
-            f'{o}"node_id": {_scalar_text(report.node_id)}{s}'
-            f'"scan": {self.scan(report.scan, inner)}{s}'
-            f'"fov": {fov}{s}'
-            f'"profile": {po}"node_id": '
-            f"{_scalar_text(report.profile.node_id)}{ps}"
-            f'"measurements": {measurements}{pc}{s}'
-            f'"features": {features}{s}'
-            f'"classification": {classification}{s}'
-            f'"band_grades": {band_grades}{s}'
-            f'"scores": {scores}{c}'
-        )
+    The method returns one f-string (single-quoted, so no member
+    expression may hold a single quote or a backslash). A list of
+    records is built first, in a local, because its items are f-strings
+    too; a ``flat`` item's text is inlined into the comprehension, any
+    other item is a call of its record's writer method.
+    """
 
-    def scan(self, scan: DirectionalScan, depth: int) -> str:
-        number = self.number
-        o, s, c = self.braces(depth)
-        inner = depth + 1
-        ao, as_, ac = self.braces(depth + 2)
-        po, ps, pc = self.braces(depth + 3)
-        observations = self.members(
-            inner,
-            "[",
-            "]",
-            [
-                f'{ao}"icao": {_str_text(str(x.icao))}{as_}'
-                f'"callsign": {_scalar_text(x.callsign)}{as_}'
-                f'"bearing_deg": {number(x.bearing_deg)}{as_}'
-                f'"ground_range_m": {number(x.ground_range_m)}{as_}'
-                f'"elevation_deg": {number(x.elevation_deg)}{as_}'
-                f'"position": {po}'
-                f'"lat_deg": {number(x.position.lat_deg)}{ps}'
-                f'"lon_deg": {number(x.position.lon_deg)}{ps}'
-                f'"alt_m": {number(x.position.alt_m)}{pc}{as_}'
-                f'"received": {_scalar_text(x.received)}{as_}'
-                f'"n_messages": {_scalar_text(x.n_messages)}{as_}'
-                f'"mean_rssi_dbfs": {number(x.mean_rssi_dbfs)}{ac}'
-                for x in scan.observations
-            ],
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.depths: Set[int] = set()
+
+    def local(self, expr: str) -> str:
+        name = f"_v{len(self.lines)}"
+        self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def braces(self, k: int) -> Tuple[str, str, str]:
+        self.depths.add(k)
+        return f"{{_o{k}}}", f"{{_s{k}}}", f"{{_c{k}}}"
+
+
+def _record_text(record: Record, obj: str, k: int, src: _WriterSource) -> str:
+    """f-string body of ``record`` held by ``obj`` at ``depth + k``."""
+    o, s, c = src.braces(k)
+    body = ""
+    for i, f in enumerate(record.fields):
+        member = (
+            f"{_str_text(f.key)}: "
+            f"{_member_text(f.codec, f.value(obj), k + 1, src)}"
         )
-        ghosts = self.dumps([str(g) for g in scan.ghost_icaos], inner)
-        collisions = self.dumps(
-            scan.collision_stats.to_dict()
-            if scan.collision_stats is not None
-            else None,
-            inner,
-        )
-        return (
-            f'{o}"node_id": {_scalar_text(scan.node_id)}{s}'
-            f'"duration_s": {number(scan.duration_s)}{s}'
-            f'"radius_m": {number(scan.radius_m)}{s}'
-            f'"observations": {observations}{s}'
-            f'"decoded_message_count": '
-            f"{_scalar_text(scan.decoded_message_count)}{s}"
-            f'"ghost_icaos": {ghosts}{s}'
-            f'"collision_stats": {collisions}{c}'
-        )
+        if f.omit_empty:
+            body += "{" + src.local(
+                f"f'{s}{member}' if {f.value(obj)} else \"\""
+            ) + "}"
+        else:
+            body += (s if i else o) + member
+    return body + c
+
+
+def _member_text(codec: Any, value: str, k: int, src: _WriterSource) -> str:
+    """f-string body of a field value at ``depth + k``."""
+    if isinstance(codec, Leaf):
+        if codec.text is not None:
+            return "{" + codec.text.format(value) + "}"
+    elif codec.record.direct:
+        record = codec.record
+        if isinstance(codec, One):
+            assert not codec.optional, record.name
+            return _record_text(record, value, k, src)
+        x = f"_x{k}"
+        if record.flat:
+            item = _record_text(record, x, k + 1, src)
+        else:
+            item = f"{{self.{record.name}({x}, depth + {k + 1})}}"
+        if isinstance(codec, Keyed):
+            item = f"{{_str_text(_k{k})}}: {item}"
+            loop = f"_k{k}, {x} in sorted({value}.items())"
+            brackets = '"{", "}"'
+        else:
+            loop, brackets = f"{x} in {value}", '"[", "]"'
+        return "{" + src.local(
+            f"self.members(depth + {k}, {brackets}, [f'{item}' for {loop}])"
+        ) + "}"
+    return "{self.dumps(" + codec.to(value) + f", depth + {k})}}"
+
+
+def _writer_source(record: Record) -> str:
+    src = _WriterSource()
+    body = _record_text(record, "obj", 0, src)
+    lines = [
+        f"def {record.name}(self, obj, depth=0):",
+        "    number = self.number",
+    ] + [
+        f"    _o{k}, _s{k}, _c{k} = self.braces(depth + {k})"
+        for k in sorted(src.depths)
+    ]
+    return "\n".join(lines + src.lines + [f"    return f'{body}'"])
+
+
+# -- the records -------------------------------------------------------------
+
+POSITION = Record(
+    "position",
+    GeoPoint,
+    Field("lat_deg", NUMBER),
+    Field("lon_deg", NUMBER),
+    Field("alt_m", NUMBER),
+    direct=True,
+)
+OBSERVATION = Record(
+    "observation",
+    AircraftObservation,
+    Field("icao", ICAO),
+    Field("callsign", VALUE),
+    Field("bearing_deg", NUMBER),
+    Field("ground_range_m", NUMBER),
+    Field("elevation_deg", NUMBER),
+    Field("position", One(POSITION)),
+    Field("received", VALUE),
+    Field("n_messages", COUNT),
+    Field("mean_rssi_dbfs", NUMBER),
+    direct=True,
+)
+COLLISION_STATS = Record(
+    "collision_stats",
+    CollisionStats,
+    *(
+        Field(key, COUNT)
+        for key in ("n_events", "n_contested", "n_captured", "n_garbled")
+    ),
+)
+SCAN = Record(
+    "scan",
+    DirectionalScan,
+    Field("node_id", VALUE),
+    Field("duration_s", NUMBER),
+    Field("radius_m", NUMBER),
+    Field("observations", Many(OBSERVATION)),
+    Field("decoded_message_count", COUNT),
+    Field("ghost_icaos", ICAOS),
+    # Scans written before the interference layer lack it.
+    Field("collision_stats", One(COLLISION_STATS, True), default=None),
+    direct=True,
+)
+FOV = Record(
+    "fov",
+    FieldOfViewEstimate,
+    Field("bin_deg", NUMBER),
+    Field("open_flags", FLAGS),
+    Field("max_range_km", FLOATS),
+)
+MEASUREMENT = Record(
+    "measurement",
+    BandMeasurement,
+    Field("source", VALUE),
+    Field("label", VALUE),
+    Field("freq_hz", NUMBER),
+    Field("measured", NUMBER),
+    Field("expected", NUMBER),
+    Field("excess_attenuation_db", NUMBER),
+    Field("decoded", VALUE),
+    # Profiles written before the interference layer lack it.
+    Field("interference_dbm", NUMBER, default=None),
+    direct=True,
+)
+PROFILE = Record(
+    "profile",
+    FrequencyProfile,
+    Field("node_id", VALUE),
+    Field("measurements", Many(MEASUREMENT)),
+    direct=True,
+)
+FEATURES = Record(
+    "features",
+    InstallationFeatures,
+    Field("fov_open_fraction", NUMBER),
+    Field("max_received_range_km", NUMBER),
+    Field("reach_km", NUMBER),
+    Field("high_band_decode_fraction", NUMBER),
+    Field("high_band_excess_db", NUMBER),
+    Field("low_band_excess_db", NUMBER),
+)
+CLASSIFICATION = Record(
+    "classification",
+    Classification,
+    Field("installation", VALUE),
+    Field("outdoor", VALUE),
+    Field("outdoor_probability", NUMBER),
+)
+BAND_GRADE = Record(
+    "band_grade",
+    BandGrade,
+    Field("label", VALUE),
+    Field("freq_hz", NUMBER),
+    Field("grade", VALUE),
+    Field("excess_attenuation_db", NUMBER),
+    direct=True,
+)
+#: A report's ``(directional, frequency, overall)`` scores tuple.
+SCORES = Record(
+    "scores",
+    None,
+    Field("directional", NUMBER, get="{}[0]"),
+    Field("frequency", NUMBER, get="{}[1]"),
+    Field("overall", NUMBER, get="{}[2]"),
+)
+REPORT = Record(
+    "report",
+    CalibrationReport,
+    Field("node_id", VALUE),
+    Field("scan", One(SCAN)),
+    Field("fov", One(FOV)),
+    Field("profile", One(PROFILE)),
+    Field("features", One(FEATURES)),
+    Field("classification", One(CLASSIFICATION)),
+    Field("band_grades", Many(BAND_GRADE)),
+    Field("scores", One(SCORES), get="{}.scores()", write_only=True),
+    direct=True,
+)
+TRUST_CHECK = Record(
+    "trust_check",
+    TrustCheck,
+    Field("name", VALUE),
+    Field("passed", VALUE),
+    Field("score", NUMBER),
+    Field("detail", VALUE),
+)
+TRUST = Record(
+    "trust",
+    TrustAssessment,
+    Field("node_id", VALUE),
+    Field("checks", Many(TRUST_CHECK)),
+)
+VIOLATION = Record(
+    "violation",
+    ClaimViolation,
+    Field("claim", VALUE),
+    Field("evidence", VALUE),
+)
+ABS_POWER = Record(
+    "abs_power",
+    AbsolutePowerCalibration,
+    Field("full_scale_dbm_estimate", NUMBER),
+    Field("spread_db", NUMBER),
+    Field("anchor_label", VALUE),
+    Field("anchor_bearing_deg", NUMBER),
+    Field("n_signals", COUNT),
+    Field("reliable", VALUE),
+)
+ASSESSMENT = Record(
+    "assessment",
+    NodeAssessment,
+    Field("node_id", VALUE),
+    Field("report", One(REPORT)),
+    Field("trust", One(TRUST)),
+    Field("claim_violations", Many(VIOLATION)),
+    Field("abs_power", One(ABS_POWER, True)),
+    direct=True,
+)
+FAILURE = Record(
+    "failure",
+    AssessmentFailure,
+    Field("node_id", VALUE),
+    Field("error", VALUE),
+    Field("exception_type", VALUE),
+)
+NETWORK = Record(
+    "network",
+    _network,
+    Field("assessments", Keyed(ASSESSMENT), get="{}"),
+    # Plain batch evaluations have no failures or metrics key; a
+    # campaign's counters ride along so `repro serve --source file` can
+    # surface them.
+    Field("failures", Keyed(FAILURE), default={}),
+    Field("metrics", MAPPING, default={}, omit_empty=True),
+    direct=True,
+)
+
+# The compiled converters call each other by these names. The readers
+# the ``*_from_json`` parsers below return from carry their types.
+report_from_dict: Callable[[Any], CalibrationReport]
+assessment_from_dict: Callable[[Any], NodeAssessment]
+network_from_dict: Callable[[Any], NetworkAssessments]
+position_to_dict, position_from_dict = POSITION.converters
+observation_to_dict, observation_from_dict = OBSERVATION.converters
+collision_stats_to_dict, collision_stats_from_dict = (
+    COLLISION_STATS.converters
+)
+scan_to_dict, scan_from_dict = SCAN.converters
+fov_to_dict, fov_from_dict = FOV.converters
+measurement_to_dict, measurement_from_dict = MEASUREMENT.converters
+profile_to_dict, profile_from_dict = PROFILE.converters
+features_to_dict, features_from_dict = FEATURES.converters
+classification_to_dict, classification_from_dict = CLASSIFICATION.converters
+band_grade_to_dict, band_grade_from_dict = BAND_GRADE.converters
+(scores_to_dict,) = SCORES.converters
+report_to_dict, report_from_dict = REPORT.converters
+trust_check_to_dict, trust_check_from_dict = TRUST_CHECK.converters
+trust_to_dict, trust_from_dict = TRUST.converters
+violation_to_dict, violation_from_dict = VIOLATION.converters
+abs_power_to_dict, abs_power_from_dict = ABS_POWER.converters
+assessment_to_dict, assessment_from_dict = ASSESSMENT.converters
+failure_to_dict, failure_from_dict = FAILURE.converters
+network_to_dict, network_from_dict = NETWORK.converters
+
+
+def report_to_json(report: CalibrationReport, **json_kwargs) -> str:
+    """Serialize a report straight to a JSON string."""
+    return json.dumps(report_to_dict(report), **json_kwargs)
+
+
+def report_from_json(text: str) -> CalibrationReport:
+    """Parse a report from its JSON string."""
+    return report_from_dict(json.loads(text))
+
+
+def assessment_to_json(
+    assessment: NodeAssessment, **json_kwargs
+) -> str:
+    """Serialize a node assessment straight to a JSON string.
+
+    Always the text of
+    ``json.dumps(assessment_to_dict(assessment), **json_kwargs)``. With
+    no keyword arguments or ``indent`` alone, :class:`_DocumentWriter`
+    writes it without building the dict.
+    """
+    writer = _writer(json_kwargs)
+    if writer is None:
+        return json.dumps(assessment_to_dict(assessment), **json_kwargs)
+    return writer.assessment(assessment)
+
+
+def assessment_from_json(text: str) -> NodeAssessment:
+    """Parse a node assessment from its JSON string."""
+    return assessment_from_dict(json.loads(text))
+
+
+def network_to_json(
+    network: NetworkAssessments, **json_kwargs: Any
+) -> str:
+    """Serialize a network evaluation straight to a JSON string.
+
+    Always the text of
+    ``json.dumps(network_to_dict(network), **json_kwargs)``. With no
+    keyword arguments or ``indent`` alone (``repro fleet --json``
+    writes ``indent=2``), :class:`_DocumentWriter` writes it without
+    building the dict.
+    """
+    writer = _writer(json_kwargs)
+    if writer is None:
+        return json.dumps(network_to_dict(network), **json_kwargs)
+    return writer.network(network)
+
+
+def network_from_json(text: str) -> NetworkAssessments:
+    """Parse a network evaluation from its JSON string."""
+    return network_from_dict(json.loads(text))

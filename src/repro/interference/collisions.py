@@ -33,7 +33,7 @@ agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,23 +95,6 @@ class CollisionStats:
         if self.n_events == 0:
             return 0.0
         return self.n_contested / self.n_events
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "n_events": self.n_events,
-            "n_contested": self.n_contested,
-            "n_captured": self.n_captured,
-            "n_garbled": self.n_garbled,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "CollisionStats":
-        return cls(
-            n_events=int(data["n_events"]),
-            n_contested=int(data["n_contested"]),
-            n_captured=int(data["n_captured"]),
-            n_garbled=int(data["n_garbled"]),
-        )
 
 
 def overlap_clusters(

@@ -32,6 +32,28 @@ class TestValidation:
             main(["serve", "--source", "martian"])
 
 
+class TestMalformedFile:
+    """A file that is not a network fails on one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[1, 2]", "TypeError"),
+            ('{"node_id": "x"}', "KeyError: 'assessments'"),
+            ('{"assessments": {"n0": {"node_id": "n0",', "JSONDecodeError"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "fleet.json"
+        path.write_text(text)
+        assert main(["serve", "--source", "file", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: not a network record: ")
+        assert error in captured.err
+        assert captured.err.count("\n") == 1
+
+
 def _serve_in_thread(argv):
     """Run ``repro serve`` in a thread; returns (thread, exit_codes)."""
     codes = []

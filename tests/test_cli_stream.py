@@ -86,6 +86,30 @@ class TestReplayFromReport:
         assert "replay-node" in capsys.readouterr().out
 
 
+class TestMalformedScanFile:
+    """A file that is not a scan fails on one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[1, 2]", "AttributeError"),
+            ('{"node_id": "x"}', "KeyError: 'duration_s'"),
+            (None, "JSONDecodeError"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, scan_file, capsys, text, error):
+        # ``None``: the recorded scan, truncated mid-way.
+        full = scan_file.read_text()
+        scan_file.write_text(full[: len(full) // 2] if text is None else text)
+        code = main(["stream", "--source", "replay", "--scan", str(scan_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{scan_file}: not a scan record: ")
+        assert error in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestSimSource:
     def test_sim_stream_runs_windows(self, capsys):
         code = main(["stream", "--windows", "2", "--seed", "11"])

@@ -6,7 +6,8 @@ objects. ``json.dumps`` of ``network_to_dict`` / ``assessment_to_dict``
 with the same arguments is the reference, byte for byte. ``repro fleet
 --json`` files persist the ``indent=2`` layout and the repository
 benchmark encodes the default one, so two standard campaigns are also
-pinned by digest in each.
+pinned by digest in each. The same hand-built documents check that
+every record type's ``from_dict(to_dict(x)) == x``.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adsb.icao import IcaoAddress
+from repro.core import serialize
 from repro.core.abs_power import AbsolutePowerCalibration
 from repro.core.classify import Classification, InstallationFeatures
 from repro.core.fov import FieldOfViewEstimate
@@ -199,46 +201,56 @@ class TestSyntheticFleets:
 
 # -- hand-built documents ---------------------------------------------------
 
-#: What can sit in a float field: any float (NaN, ±inf, ±0.0, integral
-#: values), an int, a bool, or an ``np.float64``.
-NUMBERS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 100.0, 1e16, 5e-324]),
-    st.integers(-(10**20), 10**20),
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-)
-OPTIONAL_NUMBERS = st.none() | NUMBERS
+def numbers(exact=False):
+    """What can sit in a float field: any float (NaN, ±inf, ±0.0,
+    integral values), an int, a bool, or an ``np.float64``.
+
+    ``exact`` keeps the values a round trip can compare: no NaN, and
+    no int a float cannot hold (readers of float lists apply
+    ``float``).
+    """
+    bound = 2**53 if exact else 10**20
+    return st.one_of(
+        st.floats(allow_nan=not exact, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 100.0, 1e16, 5e-324]),
+        st.integers(-bound, bound),
+        st.booleans(),
+        st.floats(allow_nan=not exact, allow_infinity=True).map(np.float64),
+    )
+
+
+NUMBERS = numbers()
 TEXT = st.text(max_size=8)
 
 
 @st.composite
-def observations(draw):
+def observations(draw, number=NUMBERS):
     received = draw(st.booleans())
     return AircraftObservation(
         icao=IcaoAddress(draw(st.integers(0, (1 << 24) - 1))),
         callsign=draw(st.none() | TEXT),
-        bearing_deg=draw(NUMBERS),
-        ground_range_m=draw(NUMBERS.filter(lambda x: not x < 0)),
-        elevation_deg=draw(NUMBERS),
+        bearing_deg=draw(number),
+        ground_range_m=draw(number.filter(lambda x: not x < 0)),
+        elevation_deg=draw(number),
         position=GeoPoint(
             draw(st.floats(-90.0, 90.0) | st.integers(-90, 90)),
             draw(st.floats(-1e3, 1e3) | st.integers(-1000, 1000)),
-            draw(NUMBERS),
+            draw(number),
         ),
         received=received,
         n_messages=draw(st.integers(1, 10**6) if received else st.just(0)),
-        mean_rssi_dbfs=draw(OPTIONAL_NUMBERS),
+        mean_rssi_dbfs=draw(st.none() | number),
     )
 
 
 @st.composite
-def assessments(draw, node_id):
+def assessments(draw, node_id, number=NUMBERS):
+    optional_number = st.none() | number
     scan = DirectionalScan(
         node_id=node_id,
-        duration_s=draw(NUMBERS),
-        radius_m=draw(NUMBERS),
-        observations=draw(st.lists(observations(), max_size=4)),
+        duration_s=draw(number),
+        radius_m=draw(number),
+        observations=draw(st.lists(observations(number), max_size=4)),
         decoded_message_count=draw(st.integers(0, 10**6)),
         ghost_icaos=[
             IcaoAddress(v)
@@ -256,12 +268,12 @@ def assessments(draw, node_id):
         BandMeasurement(
             source=draw(TEXT),
             label=draw(TEXT),
-            freq_hz=draw(NUMBERS),
-            measured=draw(OPTIONAL_NUMBERS),
-            expected=draw(NUMBERS),
-            excess_attenuation_db=draw(OPTIONAL_NUMBERS),
+            freq_hz=draw(number),
+            measured=draw(optional_number),
+            expected=draw(number),
+            excess_attenuation_db=draw(optional_number),
             decoded=draw(st.booleans()),
-            interference_dbm=draw(OPTIONAL_NUMBERS),
+            interference_dbm=draw(optional_number),
         )
         for _ in range(draw(st.integers(0, 3)))
     ]
@@ -271,14 +283,14 @@ def assessments(draw, node_id):
         fov=FieldOfViewEstimate(
             bin_deg=90.0,
             open_flags=[True, False, True, True],
-            max_range_km=[draw(NUMBERS) for _ in range(4)],
+            max_range_km=[draw(number) for _ in range(4)],
         ),
         profile=FrequencyProfile(node_id=node_id, measurements=measurements),
-        features=InstallationFeatures(*[draw(NUMBERS) for _ in range(6)]),
+        features=InstallationFeatures(*[draw(number) for _ in range(6)]),
         classification=Classification(
             installation=draw(TEXT),
             outdoor=draw(st.booleans()),
-            outdoor_probability=draw(NUMBERS),
+            outdoor_probability=draw(number),
         ),
     )
     trust = TrustAssessment(
@@ -293,10 +305,10 @@ def assessments(draw, node_id):
         st.none()
         | st.builds(
             AbsolutePowerCalibration,
-            full_scale_dbm_estimate=OPTIONAL_NUMBERS,
-            spread_db=NUMBERS,
+            full_scale_dbm_estimate=optional_number,
+            spread_db=number,
             anchor_label=st.none() | TEXT,
-            anchor_bearing_deg=OPTIONAL_NUMBERS,
+            anchor_bearing_deg=optional_number,
             n_signals=st.integers(0, 20),
             reliable=st.booleans(),
         )
@@ -311,17 +323,84 @@ def assessments(draw, node_id):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, number=NUMBERS):
     node_ids = draw(st.lists(TEXT, max_size=3, unique=True))
     network = NetworkAssessments(
-        {node_id: draw(assessments(node_id)) for node_id in node_ids}
+        {node_id: draw(assessments(node_id, number)) for node_id in node_ids}
     )
     for node_id in draw(st.lists(TEXT, max_size=2, unique=True)):
         network.failures[node_id] = AssessmentFailure(
             node_id=node_id, error=draw(TEXT), exception_type="RuntimeError"
         )
-    network.metrics = draw(st.dictionaries(TEXT, NUMBERS, max_size=3))
+    network.metrics = draw(st.dictionaries(TEXT, number, max_size=3))
     return network
+
+
+def records_in(network):
+    """``(record, value)`` for every record a network document holds."""
+    yield serialize.NETWORK, network
+    for failure in network.failures.values():
+        yield serialize.FAILURE, failure
+    for assessment in network.values():
+        report, scan = assessment.report, assessment.report.scan
+        yield serialize.ASSESSMENT, assessment
+        yield serialize.REPORT, report
+        yield serialize.SCAN, scan
+        for observation in scan.observations:
+            yield serialize.OBSERVATION, observation
+            yield serialize.POSITION, observation.position
+        if scan.collision_stats is not None:
+            yield serialize.COLLISION_STATS, scan.collision_stats
+        yield serialize.FOV, report.fov
+        yield serialize.PROFILE, report.profile
+        for measurement in report.profile.measurements:
+            yield serialize.MEASUREMENT, measurement
+        yield serialize.FEATURES, report.features
+        yield serialize.CLASSIFICATION, report.classification
+        for grade in report.band_grades:
+            yield serialize.BAND_GRADE, grade
+        yield serialize.TRUST, assessment.trust
+        for check in assessment.trust.checks:
+            yield serialize.TRUST_CHECK, check
+        for violation in assessment.claim_violations:
+            yield serialize.VIOLATION, violation
+        if assessment.abs_power is not None:
+            yield serialize.ABS_POWER, assessment.abs_power
+
+
+class TestRoundTrip:
+    """``from_dict(to_dict(x)) == x`` for every record that is read."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(networks(numbers(exact=True)))
+    def test_every_record_round_trips(self, network):
+        for record, value in records_in(network):
+            to_dict, from_dict = record.converters
+            assert from_dict(to_dict(value)) == value, record.name
+            text = json.dumps(to_dict(value))
+            assert from_dict(json.loads(text)) == value, record.name
+
+    def test_records_in_reaches_every_read_record(self):
+        network, _ = synthetic_fleet(2, seed=0, failure_fraction=0.5)
+        (assessment,) = network.values()
+        assessment.report.scan.collision_stats = CollisionStats(9, 3, 1, 1)
+        assessment.claim_violations = [ClaimViolation("claim", "evidence")]
+        assessment.abs_power = AbsolutePowerCalibration(
+            -10.0, 1.5, "FM 99.1", 120.0, 3, True
+        )
+        reached = {record.name for record, _ in records_in(network)}
+        records = [
+            value
+            for value in vars(serialize).values()
+            if isinstance(value, serialize.Record)
+        ]
+        read = {r.name for r in records if len(r.converters) == 2}
+        assert reached == read
+        assert {r.name for r in records} - read == {"scores"}
 
 
 class TestHandBuiltDocuments:

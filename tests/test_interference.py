@@ -18,6 +18,8 @@ from repro.cellular.tower import CellTower
 from repro.core.frequency import BandMeasurement
 from repro.core.observations import DirectionalScan
 from repro.core.serialize import (
+    collision_stats_from_dict,
+    collision_stats_to_dict,
     measurement_from_dict,
     measurement_to_dict,
     scan_from_dict,
@@ -542,7 +544,8 @@ class TestTrafficPresets:
 class TestSerialization:
     def test_collision_stats_roundtrip(self):
         stats = CollisionStats(100, 20, 5, 9)
-        assert CollisionStats.from_dict(stats.to_dict()) == stats
+        back = collision_stats_from_dict(collision_stats_to_dict(stats))
+        assert back == stats
         assert stats.collision_rate == pytest.approx(0.2)
 
     def test_scan_roundtrip_with_stats(self):

@@ -1,6 +1,7 @@
 """Tests for repro.runtime.cache — hits, misses, invalidation, disk."""
 
 import json
+import math
 import sys
 import threading
 
@@ -133,6 +134,36 @@ class TestDiskFaults:
         envelope["assessment"]["report"]["scan"] = []
         path.write_text(json.dumps(envelope))
         assert ResultCache(tmp_path).get(key) is None
+
+    @staticmethod
+    def _with_event_count(path, n_events):
+        """Rewrite the stored scan's collision stats around ``n_events``."""
+        envelope = json.loads(path.read_text())
+        envelope["assessment"]["report"]["scan"]["collision_stats"] = {
+            "n_events": n_events,
+            "n_contested": 0,
+            "n_captured": 0,
+            "n_garbled": 0,
+        }
+        path.write_text(json.dumps(envelope))
+
+    @pytest.mark.parametrize("n_events", [math.inf, math.nan, 1.5, "7"])
+    def test_corrupt_count_is_a_miss(
+        self, tmp_path, make_assessment, n_events
+    ):
+        key, path = self._stored(tmp_path, make_assessment)
+        self._with_event_count(path, n_events)
+        if n_events == math.inf:
+            assert '"n_events": Infinity' in path.read_text()
+        assert ResultCache(tmp_path).get(key) is None
+
+    @pytest.mark.parametrize("n_events", [7, 7.0])
+    def test_integral_count_hits(self, tmp_path, make_assessment, n_events):
+        key, path = self._stored(tmp_path, make_assessment)
+        self._with_event_count(path, n_events)
+        restored = ResultCache(tmp_path).get(key)
+        assert restored.report.scan.collision_stats.n_events == 7
+        assert type(restored.report.scan.collision_stats.n_events) is int
 
     def test_truncated_entry_is_a_miss(self, tmp_path, make_assessment):
         key, path = self._stored(tmp_path, make_assessment)

@@ -510,10 +510,20 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.core.network import TrustEvaluator
     from repro.geo.coords import GeoPoint
 
-    with open(args.sbs) as f:
-        lines = f.readlines()
-    with open(args.tracker) as f:
-        reports = flight_reports_from_json(f.read())
+    try:
+        with open(args.sbs) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        return _cannot_read(args.sbs, exc)
+    except UnicodeDecodeError as exc:
+        return _not_a_record(args.sbs, "SBS", exc)
+    try:
+        with open(args.tracker) as f:
+            reports = flight_reports_from_json(f.read())
+    except OSError as exc:
+        return _cannot_read(args.tracker, exc)
+    except SHAPE_ERRORS as exc:
+        return _not_a_record(args.tracker, "tracker", exc)
     receiver = GeoPoint(args.lat, args.lon, args.alt)
     scan = scan_from_sbs(
         lines, reports, node_id="ingested", receiver_position=receiver
@@ -537,6 +547,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         status = "pass" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: {check.detail}")
     return 0
+
+
+def _cannot_read(path: str, exc: OSError) -> int:
+    """Report an input file that cannot be opened or read on one line;
+    the exit status."""
+    print(f"{path}: cannot read: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _not_a_record(path: str, kind: str, exc: Exception) -> int:
@@ -588,6 +605,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             # Accept either a bare scan dict or a full calibration
             # report (``repro calibrate --json``), which nests the scan.
             scan = scan_from_dict(data.get("scan", data))
+        except OSError as exc:
+            return _cannot_read(args.scan, exc)
         except SHAPE_ERRORS as exc:
             return _not_a_record(args.scan, "scan", exc)
         node_id = scan.node_id
@@ -716,6 +735,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.source == "file":
         try:
             store = store_from_json(args.file)
+        except OSError as exc:
+            return _cannot_read(args.file, exc)
         except SHAPE_ERRORS as exc:
             return _not_a_record(args.file, "network", exc)
     elif args.source == "fleet":

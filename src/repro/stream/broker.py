@@ -270,9 +270,14 @@ class StreamBroker:
         """Publish one record to a node's queue.
 
         The queue's :class:`QueueStats` count the outcome; the
-        registry reads them back (see :meth:`counter_totals`).
+        registry reads them back (see :meth:`counter_totals`). An
+        existing queue is read straight from the map; only a missing
+        one goes through :meth:`queue_for`.
         """
-        return self.queue_for(node_id).put(record, timeout_s)
+        queue = self._queues.get(node_id)
+        if queue is None:
+            queue = self.queue_for(node_id)
+        return queue.put(record, timeout_s)
 
     def node_ids(self) -> List[str]:
         """Nodes that have (or had) a queue, sorted."""

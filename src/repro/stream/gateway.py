@@ -77,7 +77,7 @@ class StreamGateway:
         # gateway from several producer and consumer threads at once,
         # and get-or-create on a bare dict is a lost-session race.
         self._lock = threading.Lock()
-        # Per-node consume locks: NodeSession.handle is stateful and
+        # Per-node consume locks: NodeSession.consume is stateful and
         # single-consumer; concurrent drains of the *same* node must
         # serialize even though different nodes drain in parallel.
         self._drain_locks: Dict[str, threading.Lock] = {}
@@ -120,8 +120,9 @@ class StreamGateway:
     def drain_node(self, node_id: str) -> int:
         """Consume everything queued for one node; returns the count.
 
-        If a record raises, the records drained after it go back to
-        the head of the node's queue, in order, and the error
+        The drained backlog goes to :meth:`NodeSession.consume` in one
+        call. If a record raises, the records drained after it go back
+        to the head of the node's queue, in order, and the error
         propagates. The raising record and those before it count as
         consumed; the requeued ones do not.
         """
@@ -133,14 +134,12 @@ class StreamGateway:
             # Evicted between session_for and here; the fresh call
             # re-created the maps, so retry once.
             return self.drain_node(node_id)
-        handle = session.handle
         with drain_lock:
             queue = self.broker.queue_for(node_id)
             records = queue.drain()
             pending = iter(records)
             try:
-                for record in pending:
-                    handle(record)
+                session.consume(pending)
             except BaseException:
                 unhandled = list(pending)
                 queue.requeue(unhandled)

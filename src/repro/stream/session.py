@@ -31,13 +31,23 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.adsb.icao import IcaoAddress
 from repro.adsb.sbs import sbs_icao
 from repro.core.observations import AircraftObservation
-from repro.environment.links import ray_geometry
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import EARTH_RADIUS_M, GeoPoint
 from repro.stream.engine import EngineConfig, OnlineCalibrationEngine
 from repro.stream.records import (
     GhostRecord,
@@ -51,6 +61,40 @@ from repro.stream.records import (
 #: Quarantined lines kept per session — enough to debug a bad sender,
 #: bounded so one cannot leak memory by streaming garbage.
 DEFAULT_QUARANTINE_CAP = 64
+
+
+# The scalar ``ray_geometry``'s libm calls, applied elementwise. numpy's
+# own ``cos``, ``arctan2`` and ``hypot`` differ from libm in the last
+# bit on some inputs, and the join must match the scalar bit for bit.
+_cos = np.frompyfunc(math.cos, 1, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _truth_geometry(
+    site: GeoPoint, targets: Sequence[GeoPoint]
+) -> Tuple[List[float], List[float], List[float]]:
+    """Bearing, ground range and elevation from ``site`` to each target.
+
+    One array pass over the targets that returns
+    :func:`~repro.environment.links.ray_geometry`'s ``azimuth_deg``,
+    ``ground_m`` and ``elevation_deg`` bit for bit: the projection of
+    :func:`~repro.geo.coords.geo_to_enu` in the same operation order,
+    with each libm call made by the ``math`` function the scalar path
+    calls. The slant range is not computed.
+    """
+    lat_rad = np.radians([t.lat_deg for t in targets])
+    lon_rad = np.radians([t.lon_deg for t in targets])
+    up = np.array([t.alt_m for t in targets], dtype=np.float64) - site.alt_m
+    cos_mean = _cos(0.5 * (lat_rad + site.lat_rad)).astype(np.float64)
+    north = (lat_rad - site.lat_rad) * EARTH_RADIUS_M
+    east = (lon_rad - site.lon_rad) * EARTH_RADIUS_M * cos_mean
+    ground = _hypot(east, north).astype(np.float64)
+    bearing = np.degrees(_atan2(east, north).astype(np.float64)) % 360.0
+    elevation = np.degrees(_atan2(up, ground).astype(np.float64))
+    # ``ENU.elevation_deg``: no offset at all reads 0.0, never -0.0.
+    elevation[(ground == 0.0) & (up == 0.0)] = 0.0
+    return bearing.tolist(), ground.tolist(), elevation.tolist()
 
 
 @dataclass
@@ -132,7 +176,7 @@ class NodeSession:
         # compares in C, and sorts in the same order as the address.
         self._tallies: Dict[int, _LiveTally] = {}
         # Exact record type -> handler for every record but an SBS
-        # line, which ``handle`` consumes itself.
+        # line, which ``consume`` handles itself.
         self._handlers: Dict[type, Callable[..., None]] = {
             TruthBatchRecord: self._handle_truth,
             ObservationRecord: self._handle_observation,
@@ -141,9 +185,13 @@ class NodeSession:
         }
 
     def handle(self, record: StreamRecord) -> None:
-        """Consume one record; malformed input never raises.
+        """Consume one record; see :meth:`consume`."""
+        self.consume((record,))
 
-        Dispatch is on the record's exact type, falling back to an
+    def consume(self, records: Iterable[StreamRecord]) -> None:
+        """Consume records in order; malformed input never raises.
+
+        Dispatch is on each record's exact type, falling back to an
         ``isinstance`` match for subclasses of the record types (an
         SBS line first). A non-record raises ``TypeError`` before any
         counter moves. Every record is counted in
@@ -151,58 +199,98 @@ class NodeSession:
         the open window's start, is then quarantined and never reaches
         the engine or the liveness clock.
 
-        An SBS line, the bulk of a live stream, is handled here in
-        this frame: the join reads only the address, so the line is
+        An SBS line, the bulk of a live stream, is handled in this
+        loop: the join reads only the address, so the line is
         validated by :func:`~repro.adsb.sbs.sbs_icao` rather than
         parsed into a record, and an :class:`IcaoAddress` is built
-        only when an ICAO first appears in a window. The clock
-        advances before the line is tallied, so a line that closes a
-        window is tallied in the next one.
+        only when an ICAO first appears in a window. A line adds no
+        window entry and reads no ``now_s``, so within a run of SBS
+        lines the engine clock moves only when a line reaches the open
+        window's boundary (before the line is tallied, so it is
+        tallied in the next window). The run's latest stamp reaches
+        the clock before any other record, at the end of ``records``,
+        and when a record raises, which leaves the engine as a call
+        per record would have.
+
+        If a record raises, the records before it stay applied and the
+        error propagates; an iterator passed as ``records`` is left
+        just after the raising record.
         """
-        handler = None
-        if type(record) is not SbsLineRecord:
-            handler = self._handlers.get(type(record))
-            if handler is None:
-                handler = self._subclass_handler(record)
         counters = self.counters
-        counters.records += 1
-        time_s = record.time_s
-        if not math.isfinite(time_s):
-            counters.bad_timestamps += 1
-            self._quarantine(record, f"non-finite timestamp {time_s!r}")
-            return
         engine = self.engine
-        window_start_s = engine.window_index * engine.config.window_s
-        if time_s < window_start_s:
-            counters.late_records += 1
-            self._quarantine(
-                record, f"late record: window opened at {window_start_s!r}"
-            )
-            return
-        if time_s > self.last_seen_s:
-            self.last_seen_s = time_s
-        if handler is not None:
-            handler(record)
-            return
-        line = record.line.strip()
-        if not line:
-            counters.blank_lines += 1
-            engine.advance(time_s)
-            return
+        window_s = engine.config.window_s
+        handlers = self._handlers
+        tallies = self._tallies
+        quarantine = self.quarantine
+        isfinite = math.isfinite
+        window_start_s = engine.window_index * window_s
+        boundary_s = (engine.window_index + 1) * window_s
+        # The latest SBS stamp not yet passed to ``engine.advance``.
+        pending_s = engine.now_s
         try:
-            key = sbs_icao(line)
-        except ValueError as exc:
-            counters.malformed_lines += 1
-            self.quarantine.append((time_s, line, str(exc)))
-            engine.advance(time_s)
-            return
-        counters.sbs_lines += 1
-        engine.advance(time_s)
-        tally = self._tallies.get(key)
-        if tally is None:
-            tally = self._tallies[key] = _LiveTally(IcaoAddress(key))
-        tally.n_messages += 1
-        tally.last_time_s = time_s
+            for record in records:
+                handler = None
+                if type(record) is not SbsLineRecord:
+                    handler = handlers.get(type(record))
+                    if handler is None:
+                        handler = self._subclass_handler(record)
+                counters.records += 1
+                time_s = record.time_s
+                if not isfinite(time_s):
+                    counters.bad_timestamps += 1
+                    self._quarantine(
+                        record, f"non-finite timestamp {time_s!r}"
+                    )
+                    continue
+                if time_s < window_start_s:
+                    counters.late_records += 1
+                    self._quarantine(
+                        record,
+                        f"late record: window opened at {window_start_s!r}",
+                    )
+                    continue
+                if time_s > self.last_seen_s:
+                    self.last_seen_s = time_s
+                if handler is not None:
+                    if pending_s > engine.now_s:
+                        engine.advance(pending_s)
+                    handler(record)
+                    window_start_s = engine.window_index * window_s
+                    boundary_s = (engine.window_index + 1) * window_s
+                    pending_s = engine.now_s
+                    continue
+                line = record.line
+                try:
+                    key = sbs_icao(line)
+                except ValueError as exc:
+                    # ``sbs_icao`` strips the line itself; a blank one
+                    # strips to "", which it rejects.
+                    line = line.strip()
+                    if line:
+                        counters.malformed_lines += 1
+                        quarantine.append((time_s, line, str(exc)))
+                    else:
+                        counters.blank_lines += 1
+                    key = None
+                else:
+                    counters.sbs_lines += 1
+                if time_s >= boundary_s:
+                    engine.advance(time_s)
+                    window_start_s = engine.window_index * window_s
+                    boundary_s = (engine.window_index + 1) * window_s
+                    pending_s = time_s
+                elif time_s > pending_s:
+                    pending_s = time_s
+                if key is None:
+                    continue
+                tally = tallies.get(key)
+                if tally is None:
+                    tally = tallies[key] = _LiveTally(IcaoAddress(key))
+                tally.n_messages += 1
+                tally.last_time_s = time_s
+        finally:
+            if pending_s > engine.now_s:
+                engine.advance(pending_s)
 
     def _quarantine(self, record: StreamRecord, error: str) -> None:
         self.quarantine.append((record.time_s, type(record).__name__, error))
@@ -211,7 +299,7 @@ class NodeSession:
         self, record: object
     ) -> Optional[Callable[..., None]]:
         """The handler for a subclass of a record type (``None``: an
-        SBS line, which ``handle`` consumes itself)."""
+        SBS line, which ``consume`` handles itself)."""
         if isinstance(record, SbsLineRecord):
             return None
         for record_type, handler in self._handlers.items():
@@ -241,23 +329,33 @@ class NodeSession:
                 f"session {self.node_id!r} needs a receiver position "
                 "to join live truth batches"
             )
-        self.engine.advance(record.time_s)
-        for report in record.reports:
-            self.counters.truth_reports += 1
-            geom = ray_geometry(self.receiver_position, report.position)
-            tally = self._tallies.get(report.icao.value)
+        time_s = record.time_s
+        engine = self.engine
+        engine.advance(time_s)
+        reports = record.reports
+        bearings, grounds, elevations = _truth_geometry(
+            self.receiver_position, [report.position for report in reports]
+        )
+        counters = self.counters
+        tallies = self._tallies
+        add_observation = engine.add_observation
+        for report, bearing, ground, elevation in zip(
+            reports, bearings, grounds, elevations
+        ):
+            counters.truth_reports += 1
+            tally = tallies.get(report.icao.value)
             received = tally is not None and tally.n_messages > 0
             if tally is not None:
                 tally.matched = True
-            self.counters.observations += 1
-            self.engine.add_observation(
-                record.time_s,
+            counters.observations += 1
+            add_observation(
+                time_s,
                 AircraftObservation(
                     icao=report.icao,
                     callsign=report.callsign,
-                    bearing_deg=geom.azimuth_deg,
-                    ground_range_m=geom.ground_m,
-                    elevation_deg=geom.elevation_deg,
+                    bearing_deg=bearing,
+                    ground_range_m=ground,
+                    elevation_deg=elevation,
                     position=report.position,
                     received=received,
                     n_messages=tally.n_messages if received else 0,

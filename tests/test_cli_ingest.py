@@ -115,3 +115,67 @@ class TestIngestCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "0 ghosts" in out
+
+
+def _ingest(sbs, tracker):
+    return main(
+        [
+            "ingest",
+            "--sbs", str(sbs),
+            "--tracker", str(tracker),
+            "--lat", "37.8715",
+            "--lon", "-122.2730",
+        ]
+    )
+
+
+class TestUnreadableInput:
+    """A missing or malformed input file fails on one line, exit 2."""
+
+    @pytest.mark.parametrize("missing", ["sbs", "tracker"])
+    def test_missing_file(self, sample_files, tmp_path, capsys, missing):
+        sbs, tracker = sample_files
+        path = tmp_path / "nope"
+        if missing == "sbs":
+            sbs = path
+        else:
+            tracker = path
+        assert _ingest(sbs, tracker) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: cannot read: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"not": "a list"}', "ValueError"),
+            ('[{"icao": "A00001"}]', "KeyError: 'callsign'"),
+            ('[{"icao": "A0', "JSONDecodeError"),
+        ],
+    )
+    def test_malformed_tracker(
+        self, sample_files, tmp_path, capsys, text, error
+    ):
+        sbs, _ = sample_files
+        tracker = tmp_path / "tracker.json"
+        tracker.write_text(text)
+        assert _ingest(sbs, tracker) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{tracker}: not a tracker record: ")
+        assert error in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_binary_sbs_feed(self, sample_files, tmp_path, capsys):
+        _, tracker = sample_files
+        sbs = tmp_path / "feed.sbs"
+        sbs.write_bytes(b"\xff\xfe\x00garbage")
+        assert _ingest(sbs, tracker) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"{sbs}: not a SBS record: UnicodeDecodeError: "
+        )
+        assert captured.err.count("\n") == 1

@@ -53,6 +53,15 @@ class TestMalformedFile:
         assert error in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_missing_file_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["serve", "--source", "file", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: cannot read: No such file or directory\n"
+        )
+
 
 def _serve_in_thread(argv):
     """Run ``repro serve`` in a thread; returns (thread, exit_codes)."""

@@ -110,6 +110,27 @@ class TestMalformedScanFile:
         assert captured.err.count("\n") == 1
 
 
+class TestUnreadableScanFile:
+    """A scan file that cannot be opened fails on one line."""
+
+    def test_missing_file_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        code = main(["stream", "--source", "replay", "--scan", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: cannot read: No such file or directory\n"
+        )
+
+    def test_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        code = main(["stream", "--source", "replay", "--scan", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{tmp_path}: cannot read: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSimSource:
     def test_sim_stream_runs_windows(self, capsys):
         code = main(["stream", "--windows", "2", "--seed", "11"])

@@ -4,6 +4,7 @@ import math
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from repro.adsb.icao import IcaoAddress
 from repro.adsb.sbs import SbsRecord, parse_sbs, to_sbs
 from repro.airspace.flightradar import FlightReport
 from repro.core.network import NodeAssessment
-from repro.geo.coords import GeoPoint
+from repro.environment.links import ray_geometry
+from repro.geo.coords import ENU, GeoPoint, enu_to_geo
 from repro.stream import (
     EngineConfig,
     GatewayConfig,
@@ -26,7 +28,7 @@ from repro.stream import (
     StreamGateway,
     TruthBatchRecord,
 )
-from repro.stream.session import _LiveTally
+from repro.stream.session import _LiveTally, _truth_geometry
 from tests.test_stream_online import _obs
 
 RECEIVER = GeoPoint(37.8715, -122.2730, 20.0)
@@ -669,6 +671,8 @@ def _state(session):
         ],
         session.last_seen_s,
         repr(session.engine.summaries),
+        session.engine.now_s,
+        list(session.engine.window._entries),
     )
 
 
@@ -761,3 +765,248 @@ class TestSbsScannerPath:
             scanning.handle(record)
             parsing.handle(record)
             assert _state(scanning) == _state(parsing)
+
+
+def _consume_in_chunks(session, oracle, records, sizes):
+    """Feed ``records`` to ``session.consume`` in chunks of ``sizes``
+    and to ``oracle.handle`` one by one, comparing at every chunk edge.
+
+    A chunk that raises stops where the gateway's drain stops: the
+    records before the raise, and the raising one, are consumed, and
+    the rest of the chunk goes back ahead of the remaining records.
+    The oracle must raise the same error at the same record.
+    """
+    pending = list(records)
+    sizes = iter(sizes)
+    while pending:
+        chunk = pending[: next(sizes, len(pending))]
+        rest = iter(chunk)
+        try:
+            session.consume(rest)
+            errors = []
+        except ValueError as exc:
+            errors = [str(exc)]
+        unconsumed = list(rest)
+        oracle_errors = []
+        for record in chunk[: len(chunk) - len(unconsumed)]:
+            try:
+                oracle.handle(record)
+            except ValueError as exc:
+                oracle_errors.append(str(exc))
+        assert errors == oracle_errors
+        assert _state(session) == _state(oracle)
+        pending = unconsumed + pending[len(chunk):]
+
+
+class TestChunkedConsume:
+    """``consume`` over a whole backlog equals one record at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_mixed_records, max_size=60),
+        st.lists(st.integers(0, 12), max_size=20),
+        st.integers(1, 8),
+    )
+    def test_chunks_match_parsing_every_line(self, records, sizes, cap):
+        # The lazy SBS clock must leave the counters, quarantine,
+        # tallies, ghost flushes, window entries and clock exactly
+        # where the record-by-record reference leaves them, at every
+        # chunk edge.
+        session = _RecordingSession(
+            "n", receiver_position=RECEIVER, quarantine_cap=cap
+        )
+        oracle = _ParsingSession(
+            "n", receiver_position=RECEIVER, quarantine_cap=cap
+        )
+        _consume_in_chunks(
+            session, oracle, records + [HeartbeatRecord(200.0)], sizes
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_mixed_records, max_size=60),
+        st.lists(st.integers(0, 12), max_size=20),
+        st.integers(1, 8),
+    )
+    def test_raise_mid_chunk_keeps_the_records_before_it(
+        self, records, sizes, cap
+    ):
+        # Without a receiver position every in-window truth batch
+        # raises, so chunks stop mid-way with SBS runs still pending
+        # on the clock.
+        session = _RecordingSession("n", quarantine_cap=cap)
+        oracle = _ParsingSession("n", quarantine_cap=cap)
+        _consume_in_chunks(
+            session, oracle, records + [HeartbeatRecord(200.0)], sizes
+        )
+
+    @pytest.mark.parametrize(
+        "late",
+        [
+            lambda t: HeartbeatRecord(t),
+            lambda t: TruthBatchRecord(t, [_report(A)]),
+            lambda t: ObservationRecord(
+                t, _obs(0, 40.0, 60.0, True, -40.0)
+            ),
+            lambda t: GhostRecord(t, C, 2),
+        ],
+        ids=["heartbeat", "truth", "observation", "ghost"],
+    )
+    def test_record_older_than_the_sbs_run_sees_its_clock(self, late):
+        # The run's stamp reaches the clock before the older record's
+        # handler runs, as it would record by record.
+        records = [
+            SbsLineRecord(40.0, _sbs_line(A, 40.0)),
+            SbsLineRecord(52.0, _sbs_line(B, 52.0)),
+            late(35.0),
+        ]
+        session = _RecordingSession("n", receiver_position=RECEIVER)
+        oracle = _ParsingSession("n", receiver_position=RECEIVER)
+        _consume_in_chunks(session, oracle, records, [len(records)])
+        assert session.engine.now_s == 52.0
+
+    def test_raise_after_an_sbs_run_still_moves_the_clock(self):
+        session = NodeSession("n", receiver_position=RECEIVER)
+        records = iter(
+            [
+                SbsLineRecord(5.0, _sbs_line(A, 5.0)),
+                SbsLineRecord(12.0, _sbs_line(B, 12.0)),
+                object(),
+                HeartbeatRecord(40.0),
+            ]
+        )
+        with pytest.raises(TypeError, match="unknown stream record"):
+            session.consume(records)
+        assert session.engine.now_s == 12.0
+        assert session.counters.records == 2
+        assert session.counters.sbs_lines == 2
+        assert list(records) == [HeartbeatRecord(40.0)]
+
+    def test_sbs_run_moves_the_clock_at_the_boundary_only(self, monkeypatch):
+        session = NodeSession("n", receiver_position=RECEIVER)
+        advanced = []
+        advance = session.engine.advance
+
+        def recording(time_s):
+            advanced.append(time_s)
+            advance(time_s)
+
+        monkeypatch.setattr(session.engine, "advance", recording)
+        session.consume(
+            [
+                SbsLineRecord(t, _sbs_line(A, t))
+                for t in (1.0, 7.0, 3.0, 29.0, 30.0, 31.0, 35.0, 33.0)
+            ]
+        )
+        # Once to close window 0 (tallying 30.0 in window 1), once at
+        # the end for the run's latest stamp.
+        assert advanced == [30.0, 35.0]
+        assert session.engine.now_s == 35.0
+        assert session.counters.ghosts == 1
+        assert session._tallies[A.value].n_messages == 4
+
+    def test_gateway_drains_a_backlog_in_one_consume(self, monkeypatch):
+        gateway = StreamGateway(positions={"n": RECEIVER})
+        session = gateway.session_for("n")
+        calls = []
+        consume = session.consume
+
+        def recording(records):
+            calls.append(records)
+            consume(records)
+
+        monkeypatch.setattr(session, "consume", recording)
+        for t in (1.0, 2.0, 3.0):
+            gateway.publish("n", SbsLineRecord(t, _sbs_line(A, t)))
+        gateway.publish("n", HeartbeatRecord(4.0))
+        assert gateway.drain_node("n") == 4
+        assert len(calls) == 1
+        assert session.counters.records == 4
+        assert session.engine.now_s == 4.0
+
+
+def _scalar_geometry(site, targets):
+    geoms = [ray_geometry(site, target) for target in targets]
+    return (
+        [g.azimuth_deg for g in geoms],
+        [g.ground_m for g in geoms],
+        [g.elevation_deg for g in geoms],
+    )
+
+
+class TestTruthGeometry:
+    """The join's array geometry is the scalar ``ray_geometry``'s."""
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            RECEIVER,
+            GeoPoint(-33.86, 151.21, 0.0),
+            GeoPoint(64.1, -21.9, 35.0),
+        ],
+        ids=["berkeley", "sydney", "reykjavik"],
+    )
+    def test_random_positions_match_bit_for_bit(self, site):
+        rng = np.random.default_rng(8)
+        n = 20_000
+        ground = 110_000.0 * np.sqrt(rng.random(n))
+        bearing = rng.uniform(0.0, 2.0 * math.pi, n)
+        up = rng.uniform(0.0, 12_000.0, n) - site.alt_m
+        targets = [
+            enu_to_geo(site, ENU(g * math.sin(b), g * math.cos(b), u))
+            for g, b, u in zip(ground.tolist(), bearing.tolist(), up.tolist())
+        ]
+        got = _truth_geometry(site, targets)
+        want = _scalar_geometry(site, targets)
+        for got_values, want_values in zip(got, want):
+            assert all(type(v) is float for v in got_values)
+            mismatches = [
+                i for i, (g, w) in enumerate(zip(got_values, want_values))
+                if not g == w
+            ]
+            assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            RECEIVER,
+            GeoPoint(RECEIVER.lat_deg, RECEIVER.lon_deg, 9_000.0),
+            GeoPoint(RECEIVER.lat_deg, RECEIVER.lon_deg, 0.0),
+            GeoPoint(RECEIVER.lat_deg + 0.5, RECEIVER.lon_deg, 9_000.0),
+            GeoPoint(RECEIVER.lat_deg - 0.5, RECEIVER.lon_deg, 9_000.0),
+            GeoPoint(RECEIVER.lat_deg, RECEIVER.lon_deg + 0.5, 9_000.0),
+            GeoPoint(RECEIVER.lat_deg, RECEIVER.lon_deg - 0.5, 9_000.0),
+            GeoPoint(RECEIVER.lat_deg + 0.5, RECEIVER.lon_deg, 20.0),
+        ],
+        ids=[
+            "zero-offset",
+            "overhead",
+            "below",
+            "north",
+            "south",
+            "east",
+            "west",
+            "north-level",
+        ],
+    )
+    def test_pinned_edge_cases(self, target):
+        got = _truth_geometry(RECEIVER, [target])
+        want = _scalar_geometry(RECEIVER, [target])
+        for (g,), (w,) in zip(got, want):
+            assert g == w
+            assert math.copysign(1.0, g) == math.copysign(1.0, w)
+
+    def test_no_offset_reads_positive_zero_elevation(self):
+        # up = -0.0 - 0.0 is -0.0, where atan2 alone gives -0.0.
+        site = GeoPoint(10.0, 20.0, 0.0)
+        bearings, grounds, elevations = _truth_geometry(
+            site, [GeoPoint(10.0, 20.0, -0.0)]
+        )
+        assert (bearings, grounds, elevations) == ([0.0], [0.0], [0.0])
+        assert math.copysign(1.0, elevations[0]) == 1.0
+        assert math.copysign(1.0, bearings[0]) == 1.0
+        scalar = ray_geometry(site, GeoPoint(10.0, 20.0, -0.0))
+        assert math.copysign(1.0, scalar.elevation_deg) == 1.0
+
+    def test_empty_batch(self):
+        assert _truth_geometry(RECEIVER, []) == ([], [], [])

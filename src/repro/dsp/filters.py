@@ -1,11 +1,18 @@
-"""FIR filter design and application (windowed-sinc, as GNU Radio uses)."""
+"""FIR filter design and application (windowed-sinc, as GNU Radio uses).
+
+Taps are designed in numpy alone: :func:`_hamming_sinc` is the
+Hamming-windowed sinc that ``scipy.signal.firwin`` builds for a
+low-pass, computed in the same operation order so the taps are equal
+to scipy's bit for bit (the test suite keeps scipy as the oracle), and
+importing this module, or any ``repro`` command, loads no scipy.
+"""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 def design_lowpass_fir(
@@ -16,12 +23,13 @@ def design_lowpass_fir(
     ``num_taps`` must be odd so the filter has integer group delay.
     """
     _check_taps(num_taps)
+    _check_finite(cutoff_hz=cutoff_hz, sample_rate_hz=sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) Hz"
         )
-    return sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz)
+    return _hamming_sinc(num_taps, cutoff_hz, sample_rate_hz)
 
 
 def design_bandpass_fir(
@@ -37,6 +45,9 @@ def design_bandpass_fir(
     low-pass is built instead.
     """
     _check_taps(num_taps)
+    _check_finite(
+        low_hz=low_hz, high_hz=high_hz, sample_rate_hz=sample_rate_hz
+    )
     if high_hz <= low_hz:
         raise ValueError(f"need low < high, got [{low_hz}, {high_hz}]")
     nyquist = sample_rate_hz / 2.0
@@ -46,12 +57,36 @@ def design_bandpass_fir(
         )
     center = 0.5 * (low_hz + high_hz)
     half_width = 0.5 * (high_hz - low_hz)
-    lowpass = sp_signal.firwin(num_taps, half_width, fs=sample_rate_hz)
+    lowpass = _hamming_sinc(num_taps, half_width, sample_rate_hz)
     if center == 0.0:
         return lowpass
     n = np.arange(num_taps)
     shift = np.exp(1j * 2.0 * np.pi * center * n / sample_rate_hz)
     return lowpass * shift
+
+
+def _hamming_sinc(
+    num_taps: int, cutoff_hz: float, sample_rate_hz: float
+) -> np.ndarray:
+    """``scipy.signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz)``.
+
+    The same arithmetic in the same order, so the taps match scipy's
+    bit for bit. scipy accumulates the window into zeros and scales by
+    ``sum(h * cos(pi * m * 0.0))``; adding to 0.0 and multiplying by
+    ``cos(±0.0) == 1.0`` are exact, so the shorter forms below round
+    identically. Like firwin, a normalised cutoff outside (0, 1) is
+    rejected (it can underflow to 0 for a tiny cutoff at a huge rate).
+    """
+    cutoff = float(cutoff_hz) / (0.5 * float(sample_rate_hz))
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(
+            f"normalised cutoff {cutoff} outside (0, 1) "
+            f"({cutoff_hz} Hz at {sample_rate_hz} Hz)"
+        )
+    m = np.arange(num_taps) - 0.5 * (num_taps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, num_taps))
+    return h / np.sum(h)
 
 
 @lru_cache(maxsize=256)
@@ -110,6 +145,7 @@ def scaled_num_taps(
     shape the same spectrum. Result is odd (integer group delay) and
     never below the prototype length.
     """
+    _check_finite(base_rate_hz=base_rate_hz, sample_rate_hz=sample_rate_hz)
     if base_rate_hz <= 0.0 or sample_rate_hz <= 0.0:
         raise ValueError("sample rates must be positive")
     _check_taps(base_num_taps)
@@ -210,6 +246,18 @@ def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     out[:window] = csum[:window] / np.arange(1, window + 1)
     out[window:] = (csum[window:] - csum[:-window]) / window
     return out
+
+
+def _check_finite(**values: float) -> None:
+    """Reject a rate or band edge that is not one finite number.
+
+    NaN compares false, so a check written as ``if high <= low: raise``
+    lets it through, and an infinite rate turns every cutoff into 0 Hz
+    of normalised band. Like firwin's ``fs``, an array is refused.
+    """
+    for name, value in values.items():
+        if not (np.isscalar(value) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number: {value!r}")
 
 
 def _check_taps(num_taps: int) -> None:

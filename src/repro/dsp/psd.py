@@ -5,6 +5,11 @@ the I/Q data, such as signal detection or computing the Fast Fourier
 Transform, before transmitting the data to the cloud". This module is
 that host-side processing: a Welch PSD over a capture and a
 noise-floor-relative occupancy detector.
+
+Only :func:`welch_psd` needs scipy, so it imports ``scipy.signal``
+when it first runs. Importing this module (every ``repro`` command
+does, through the monitoring service) costs no scipy start-up, and a
+host that never estimates a PSD never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 def welch_psd(
@@ -26,6 +30,8 @@ def welch_psd(
     Returns (freqs_hz, psd) with frequencies centered on zero
     (baseband) and PSD in power per Hz, both sorted ascending.
     """
+    from scipy import signal as sp_signal
+
     if len(samples) < nperseg:
         raise ValueError(
             f"need at least nperseg={nperseg} samples, "

@@ -36,6 +36,23 @@ class TestWelchPsd:
             200e3, abs=2e3
         )
 
+    def test_equals_scipy_welch_sorted(self, rng):
+        # welch_psd is scipy's Welch, frequency-sorted, bit for bit.
+        from scipy import signal as sp_signal
+
+        samples = awgn(rng, 1 << 14, 1.0)
+        freqs, psd = welch_psd(samples, 2e6, nperseg=512)
+        ref_f, ref_p = sp_signal.welch(
+            samples,
+            fs=2e6,
+            nperseg=512,
+            return_onesided=False,
+            detrend=False,
+        )
+        order = np.argsort(ref_f)
+        assert freqs.tobytes() == ref_f[order].tobytes()
+        assert psd.tobytes() == ref_p[order].tobytes()
+
     def test_too_short_rejected(self, rng):
         with pytest.raises(ValueError):
             welch_psd(awgn(rng, 100, 1.0), 1e6, nperseg=1024)
